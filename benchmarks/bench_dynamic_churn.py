@@ -14,7 +14,7 @@ reference session fed the identical batches -- while
   via the vectorized oracle),
 * the incremental session's palette bound never exceeds the recompute
   session's, and
-* the vectorized repair pipeline reports **zero batched fallbacks**.
+* the vectorized repair pipeline reports **zero fallbacks**.
 
 Run with::
 
@@ -189,7 +189,7 @@ def test_dynamic_churn(benchmark):
     )
     print(
         "\nIdentical patched CSRs on every step; incremental coloring "
-        "verified legal after every batch; zero batched fallbacks."
+        "verified legal after every batch; zero fallbacks."
     )
 
     # The committed record claims >= 10x amortized at n = 50,000 under 1%

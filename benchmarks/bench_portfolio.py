@@ -4,24 +4,27 @@ Two jobs in one harness (committed numbers in
 ``benchmarks/results/portfolio.json`` / ``portfolio_quick.json`` and
 ``benchmarks/results/portfolio_model.json``):
 
-1. **Baseline kernel speedup.**  The PR 7 tentpole claim: the vectorized
-   Luby kernel (``StringSeededDraws`` + CSR conflict scatter) beats the
-   per-node batched path by **>= 10x** at ``n = 50,000`` (headline row at
-   ``Delta = 64``), with *bit-identical* colorings — asserted on every
-   measured pair.  The ``speedup_luby_vectorized_over_legacy`` ratio is
-   gated in CI by ``benchmarks/check_regression.py`` at the standard 30%
+1. **Baseline kernel speedup.**  The vectorized Luby kernel
+   (``StringSeededDraws`` + CSR conflict scatter) beats the per-message
+   reference scheduler ("legacy") by **>= 10x** at ``n = 50,000`` (headline
+   row at ``Delta = 64``), with *bit-identical* colorings — asserted on
+   every measured pair.  The ``speedup_luby_vectorized_over_legacy`` ratio
+   is gated in CI by ``benchmarks/check_regression.py`` at the standard 30%
    tolerance against the committed quick record.
 
-2. **Cost-model calibration.**  The engine / route / rounds coefficients
-   that :func:`repro.portfolio.color_graph` / ``color_edges`` decide with
-   are measured here — per-CSR-entry seconds for each engine (two sizes,
-   fit slope + intercept), per-line-entry seconds for the direct vs.
-   Lemma 5.2 routes, and one fitted multiplier per Theorem 4.8 preset's
-   analytic round shape.  A full-mode ``REPRO_BENCH_RECORD=1`` run rewrites
+2. **Cost-model calibration.**  The route / rounds coefficients that
+   :func:`repro.portfolio.color_graph` / ``color_edges`` decide with are
+   measured here — per-line-entry seconds for the direct vs. Lemma 5.2
+   routes, and one fitted multiplier per Theorem 4.8 preset's analytic
+   round shape.  A full-mode ``REPRO_BENCH_RECORD=1`` run rewrites
    ``portfolio_model.json`` (the record ``CostModel.default()`` loads), and
    the portfolio decisions taken with the fresh model are recorded and
-   sanity-asserted: the large instance class must flip the engine away from
-   the ``batched`` default.
+   sanity-asserted.
+
+3. **Portfolio regret.**  On each decision instance the engine the façade
+   picks (compiled on a resolved kernel backend, else vectorized) must run
+   within ``REGRET_BOUND`` of the faster of the two array engines, both
+   timed warm in this process.
 
 Run with::
 
@@ -57,12 +60,15 @@ from repro.portfolio.facade import _line_csr_entries
 #: committed >= 10x claim.
 LUBY_SIZES = ((2048, 8),) if QUICK else ((50_000, 64), (50_000, 16))
 LUBY_SEED = 7
-#: The vectorized side is best-of to damp allocation noise; the slow batched
-#: side is measured once (its seconds dwarf any jitter).
+#: The vectorized side is best-of to damp allocation noise; the slow
+#: reference side is measured once (its seconds dwarf any jitter).
 VEC_REPEATS = 3
 
-#: Small anchor for the vectorized overhead intercept (engine fit).
-ENGINE_SMALL = (256, 8)
+#: The picked engine may be at most this much slower than the faster array
+#: engine on a decision instance (warm medians of REGRET_REPEATS runs).
+REGRET_BOUND = 1.3
+REGRET_REPEATS = 5
+
 #: Instance for route/rounds calibration (Legal-Color runs on L(G)).
 CALIBRATION_EDGE = (96, 6) if QUICK else (600, 8)
 
@@ -81,18 +87,18 @@ def _time_luby(network, engine: str):
 
 
 def _measure_luby(n: int, degree: int) -> dict:
-    """One legacy-vs-vectorized Luby pair, identical colorings asserted."""
+    """One reference-vs-vectorized Luby pair, identical colorings asserted."""
     network = graphs.random_regular(n, degree, seed=LUBY_SEED, backend="fast")
     fast = fast_view(network)
-    batched_seconds, batched = _time_luby(fast, "batched")
+    reference_seconds, reference = _time_luby(fast, "reference")
     vectorized_seconds = float("inf")
     for _ in range(VEC_REPEATS):
         seconds, vectorized = _time_luby(fast, "vectorized")
         vectorized_seconds = min(vectorized_seconds, seconds)
-    assert batched.colors == vectorized.colors, (
+    assert reference.colors == vectorized.colors, (
         f"engines diverged on luby at n={n}, degree={degree}"
     )
-    assert np.array_equal(batched.color_column, vectorized.color_column)
+    assert np.array_equal(reference.color_column, vectorized.color_column)
     assert vectorized.metrics.fallback_phase_names == []
     return {
         "n": n,
@@ -100,67 +106,18 @@ def _measure_luby(n: int, degree: int) -> dict:
         "csr_entries": _entries(n, degree),
         "rounds": int(vectorized.metrics.rounds),
         "seconds": {
-            "luby_batched": round(batched_seconds, 4),
+            "luby_reference": round(reference_seconds, 4),
             "luby_vectorized": round(vectorized_seconds, 4),
         },
         "speedup_luby_vectorized_over_legacy": round(
-            batched_seconds / max(vectorized_seconds, 1e-9), 2
+            reference_seconds / max(vectorized_seconds, 1e-9), 2
         ),
         "identical_outputs": True,
     }
 
 
-def _calibrate(luby_rows: list) -> dict:
+def _calibrate() -> dict:
     """Measure the CostModel coefficients (see repro.portfolio.cost_model)."""
-    # --- engine: per-entry slopes + vectorized intercept ----------------- #
-    large_row = luby_rows[-1]  # the least extreme large row (lowest degree)
-    large_entries = large_row["csr_entries"]
-    small_n, small_degree = ENGINE_SMALL
-    small = graphs.random_regular(small_n, small_degree, seed=LUBY_SEED, backend="fast")
-    small_fast = fast_view(small)
-    small_entries = _entries(small_n, small_degree)
-    small_batched, _ = _time_luby(small_fast, "batched")
-    small_vectorized = min(_time_luby(small_fast, "vectorized")[0] for _ in range(VEC_REPEATS))
-
-    batched_us = large_row["seconds"]["luby_batched"] / large_entries * 1e6
-    slope_us = (
-        (large_row["seconds"]["luby_vectorized"] - small_vectorized)
-        / (large_entries - small_entries)
-        * 1e6
-    )
-    slope_us = max(slope_us, 1e-3)
-    overhead_us = max(small_vectorized * 1e6 - slope_us * small_entries, 1.0)
-
-    # --- compiled engine: same two-point fit, same instances ------------- #
-    # Measured whether or not a kernel backend resolved (without one the
-    # compiled engine runs its numpy fallback, and the recorded coefficients
-    # honestly describe that configuration); `choose_engine` separately
-    # refuses to *pick* "compiled" on backend-less machines.
-    large_net = graphs.random_regular(
-        large_row["n"], large_row["degree"], seed=LUBY_SEED, backend="fast"
-    )
-    large_fast = fast_view(large_net)
-    small_compiled = min(
-        _time_luby(small_fast, "compiled")[0] for _ in range(VEC_REPEATS)
-    )
-    large_compiled_seconds = float("inf")
-    for _ in range(VEC_REPEATS):
-        seconds, compiled_result = _time_luby(large_fast, "compiled")
-        large_compiled_seconds = min(large_compiled_seconds, seconds)
-    vectorized_result = _time_luby(large_fast, "vectorized")[1]
-    assert compiled_result.colors == vectorized_result.colors, (
-        "compiled and vectorized engines diverged on the calibration instance"
-    )
-    compiled_slope_us = max(
-        (large_compiled_seconds - small_compiled)
-        / (large_entries - small_entries)
-        * 1e6,
-        1e-3,
-    )
-    compiled_overhead_us = max(
-        small_compiled * 1e6 - compiled_slope_us * small_entries, 1.0
-    )
-
     # --- route: direct vs Lemma 5.2 simulation seconds per line entry ---- #
     edge_n, edge_degree = CALIBRATION_EDGE
     edge_net = graphs.random_regular(edge_n, edge_degree, seed=LUBY_SEED, backend="fast")
@@ -188,25 +145,12 @@ def _calibrate(luby_rows: list) -> dict:
         }
 
     return {
-        "engine": {
-            "batched_us_per_entry": round(batched_us, 4),
-            "vectorized_us_per_entry": round(slope_us, 4),
-            "vectorized_overhead_us": round(overhead_us, 1),
-            "compiled_us_per_entry": round(compiled_slope_us, 4),
-            "compiled_overhead_us": round(compiled_overhead_us, 1),
-        },
         "route": {
             "direct_us_per_line_entry": round(route_us["direct"], 4),
             "simulation_us_per_line_entry": round(route_us["simulation"], 4),
         },
         "rounds": rounds_fit,
         "calibration": {
-            "engine_small": {"n": small_n, "degree": small_degree,
-                             "batched_seconds": round(small_batched, 4),
-                             "vectorized_seconds": round(small_vectorized, 4),
-                             "compiled_seconds": round(small_compiled, 4)},
-            "engine_large": {"n": large_row["n"], "degree": large_row["degree"],
-                             "compiled_seconds": round(large_compiled_seconds, 4)},
             "kernel_backend": kernels.backend_name(),
             "kernel_threads": kernels.get_num_threads(),
             "edge_instance": {"n": edge_n, "degree": edge_degree,
@@ -215,58 +159,76 @@ def _calibrate(luby_rows: list) -> dict:
     }
 
 
+def _warm_ms(run) -> float:
+    """Median wall milliseconds of ``run()`` after one untimed warm-up call."""
+    run()
+    samples = []
+    for _ in range(REGRET_REPEATS):
+        started = time.perf_counter()
+        run()
+        samples.append(time.perf_counter() - started)
+    return round(float(np.median(samples)) * 1e3, 3)
+
+
+def _pin(instance: str, entry_point: str, call, model: CostModel, **extra) -> dict:
+    """Run ``call`` through the facade, record its decision and its regret.
+
+    The regret is the picked engine's warm time over the faster of the two
+    array engines' warm times on the same instance; it must stay within
+    ``REGRET_BOUND`` (the portfolio must not pick an engine that loses).
+    """
+    decision = call(cost_model=model).decision
+    warm_ms = {
+        engine: _warm_ms(lambda: call(cost_model=model, engine=engine))
+        for engine in ("vectorized", "compiled")
+    }
+    regret = round(warm_ms[decision.engine] / min(warm_ms.values()), 2)
+    assert regret <= REGRET_BOUND, (
+        f"{instance}: picked {decision.engine!r} runs {regret}x the fastest "
+        f"array engine ({warm_ms}); {decision.reasons['engine']}"
+    )
+    return {
+        "instance": instance,
+        "entry_point": entry_point,
+        "engine": decision.engine,
+        "quality": decision.quality,
+        "route": decision.route,
+        **extra,
+        "is_default": decision.is_default(),
+        "warm_ms": warm_ms,
+        "regret": regret,
+    }
+
+
 def _pin_decisions(model: CostModel) -> list:
     """Run the facade on three instance classes and record what it picked."""
-    pins = []
-
     small = graphs.random_regular(32, 4, seed=1, backend="fast")
-    result = portfolio_color_edges(small, cost_model=model)
-    pins.append({
-        "instance": "small-regular(n=32, Delta=4)",
-        "entry_point": "color_edges",
-        "engine": result.decision.engine,
-        "quality": result.decision.quality,
-        "route": result.decision.route,
-        "is_default": result.decision.is_default(),
-    })
-    assert result.decision.engine == "batched", (
-        "tiny instances should stay on the batched default: "
-        f"{result.decision.reasons['engine']}"
-    )
-
     large_n, large_degree = (4096, 8) if QUICK else (20_000, 8)
     large = graphs.random_regular(large_n, large_degree, seed=2, backend="fast")
-    result = portfolio_color_graph(large, cost_model=model, seed=1)
-    pins.append({
-        "instance": f"large-regular(n={large_n}, Delta={large_degree})",
-        "entry_point": "color_graph",
-        "engine": result.decision.engine,
-        "quality": result.decision.quality,
-        "route": result.decision.route,
-        "is_default": result.decision.is_default(),
-    })
-    assert (
-        result.decision.engine in ("vectorized", "compiled")
-        and not result.decision.is_default()
-    ), (
-        "the large instance class must flip the engine off the default: "
-        f"{result.decision.reasons['engine']}"
-    )
-
     dense = graphs.complete_graph(48, backend="fast")
-    result = portfolio_color_edges(dense, cost_model=model, budget=40.0)
-    pins.append({
-        "instance": "dense-complete(n=48, Delta=47)",
-        "entry_point": "color_edges",
-        "engine": result.decision.engine,
-        "quality": result.decision.quality,
-        "route": result.decision.route,
-        "budget": 40.0,
-        "is_default": result.decision.is_default(),
-    })
-    assert result.decision.quality == "superlinear", (
-        "a tight round budget on a dense instance must degrade the preset: "
-        f"{result.decision.reasons['quality']}"
+    pins = [
+        _pin(
+            "small-regular(n=32, Delta=4)",
+            "color_edges",
+            lambda **kw: portfolio_color_edges(small, **kw),
+            model,
+        ),
+        _pin(
+            f"large-regular(n={large_n}, Delta={large_degree})",
+            "color_graph",
+            lambda **kw: portfolio_color_graph(large, seed=1, **kw),
+            model,
+        ),
+        _pin(
+            "dense-complete(n=48, Delta=47)",
+            "color_edges",
+            lambda **kw: portfolio_color_edges(dense, budget=40.0, **kw),
+            model,
+            budget=40.0,
+        ),
+    ]
+    assert pins[2]["quality"] == "superlinear", (
+        "a tight round budget on a dense instance must degrade the preset"
     )
     return pins
 
@@ -278,11 +240,11 @@ def test_portfolio(benchmark):
     luby_rows = [_measure_luby(n, degree) for n, degree in LUBY_SIZES]
     print(
         format_table(
-            ["n", "Delta", "CSR entries", "rounds", "batched (s)",
+            ["n", "Delta", "CSR entries", "rounds", "reference (s)",
              "vectorized (s)", "speedup"],
             [
                 [row["n"], row["degree"], row["csr_entries"], row["rounds"],
-                 row["seconds"]["luby_batched"],
+                 row["seconds"]["luby_reference"],
                  row["seconds"]["luby_vectorized"],
                  row["speedup_luby_vectorized_over_legacy"]]
                 for row in luby_rows
@@ -298,10 +260,10 @@ def test_portfolio(benchmark):
             f"n={headline['n']}, Delta={headline['degree']}"
         )
 
-    model_data = _calibrate(luby_rows)
+    model_data = _calibrate()
     model = CostModel.from_mapping(model_data, source="fresh-calibration")
     print_section("Calibrated cost model")
-    print(json.dumps({k: model_data[k] for k in ("engine", "route", "rounds")},
+    print(json.dumps({k: model_data[k] for k in ("route", "rounds")},
                      indent=2))
 
     decisions = _pin_decisions(model)
@@ -309,7 +271,8 @@ def test_portfolio(benchmark):
     for pin in decisions:
         print(
             f"  {pin['instance']:<40} -> engine={pin['engine']}, "
-            f"quality={pin['quality']}, route={pin['route']}"
+            f"quality={pin['quality']}, route={pin['route']}, "
+            f"regret={pin['regret']}"
             + ("  [non-default]" if not pin["is_default"] else "")
         )
 
@@ -318,7 +281,7 @@ def test_portfolio(benchmark):
         results_dir.mkdir(exist_ok=True)
         record = {
             "workload": {
-                "summary": "vectorized vs batched Luby kernel + portfolio "
+                "summary": "vectorized vs reference Luby kernel + portfolio "
                 "cost-model calibration",
                 "graph": f"random_regular(n, degree, seed={LUBY_SEED}, "
                 "backend='fast')",

@@ -11,10 +11,10 @@ committed baseline (``benchmarks/results/engine_speedup_quick.json`` and
 Why ratios and not wall times: CI machines differ wildly in absolute speed,
 so comparing seconds across runners would flake constantly.  The speedup of
 one engine over another on the *same* machine in the *same* run cancels the
-machine out -- a >30% drop in ``vectorized/batched`` or
-``batched/reference`` means the faster engine genuinely lost ground relative
-to the slower one, i.e. a real performance regression in the engine the
-ratio's numerator-side measures.
+machine out -- a >30% drop in ``vectorized/reference`` or
+``compiled/vectorized`` means the faster engine genuinely lost ground
+relative to the slower one, i.e. a real performance regression in the engine
+the ratio's numerator-side measures.
 
 Usage::
 
@@ -34,28 +34,26 @@ import sys
 from pathlib import Path
 
 #: The engine-relative ratios the gate watches (higher is better).  The
-#: first two are the per-engine kernel ratios; the third is the *end-to-end*
-#: wall-clock ratio of the fully vectorized Legal-Color pipeline over the
-#: reference scheduler, which additionally covers the driver-level costs
-#: (state marshalling, path bookkeeping, sub-network derivation) that the
-#: pairwise ratios can miss.
+#: first is the *end-to-end* wall-clock ratio of the fully vectorized
+#: Legal-Color (or edge-coloring) pipeline over the reference scheduler,
+#: which covers the kernels and the driver-level costs (state marshalling,
+#: path bookkeeping, sub-network derivation) alike.
 SPEEDUP_KEYS = (
-    "speedup_batched_over_reference",
-    "speedup_vectorized_over_batched",
     "speedup_vectorized_over_reference",
     "speedup_fast_setup_over_legacy",
     "speedup_fast_line_setup_over_legacy",
     "speedup_incremental_over_recompute",
-    # PR 7: the vectorized baseline kernels behind the portfolio facade.
+    # The vectorized baseline kernels behind the portfolio facade, each over
+    # the reference scheduler ("legacy" in the Luby key).
     "speedup_luby_vectorized_over_legacy",
-    "speedup_pr_vectorized_over_batched",
-    "speedup_luby_edge_vectorized_over_batched",
-    # PR 8: the compiled kernel backend over the numpy kernels.  Present in
+    "speedup_pr_vectorized_over_reference",
+    "speedup_luby_edge_vectorized_over_reference",
+    # The compiled kernel backend over the numpy kernels.  Present in
     # a record only when a kernel backend resolved at record time; a fresh
     # CI record that *lost* the ratio (backend stopped resolving) fails the
     # gate, which is the point.
     "speedup_compiled_over_vectorized",
-    # PR 10: the distributed ("workdir") backend's N-worker sweep over the
+    # The distributed ("workdir") backend's N-worker sweep over the
     # single-worker baseline (see bench_distributed_sweep.py).  The
     # committed baseline comes from a single-core box, so multi-core CI
     # runners clear the floor easily; the gate fires only when the

@@ -12,13 +12,13 @@ plus the paper's analytic curves -- the reproducible essence of Table 1.
 
 The sweep runs through :class:`repro.experiments.ExperimentRunner`: every
 (degree, algorithm) pair becomes a picklable scenario, the scenarios are
-sharded across worker processes (each on the batched round engine, with the
-coloring verified in-worker), and the results are memoized in an on-disk
+sharded across worker processes (each on the default vectorized engine, with
+the coloring verified in-worker), and the results are memoized in an on-disk
 cache -- re-running this script is nearly instantaneous.  A larger sweep (and
 the crossover analysis) is produced by
 ``pytest benchmarks/bench_table1_deterministic_comparison.py --benchmark-only -s``.
 
-A second sweep times one larger instance on the batched / vectorized /
+A second sweep times one larger instance on the reference / vectorized /
 compiled engines (identical colorings asserted) and then lets the portfolio
 facade decide, printing the decision together with the kernel backend and
 thread count it was made against.
@@ -52,7 +52,7 @@ ENGINE_SWEEP_DEGREE = 16
 
 
 def build_scenarios() -> list:
-    """One scenario per (degree, algorithm), on the batched engine.
+    """One scenario per (degree, algorithm), on the default engine.
 
     The workload graphs use the array-built fast backend (part of the cache
     key, so these results never alias legacy-built ones); the paper
@@ -82,7 +82,7 @@ def engine_sweep() -> None:
     )
     rows = []
     colors = None
-    for engine in ("batched", "vectorized", "compiled"):
+    for engine in ("reference", "vectorized", "compiled"):
         started = time.perf_counter()
         result = repro.color_graph(network, engine=engine, seed=1)
         elapsed = time.perf_counter() - started

@@ -64,7 +64,6 @@ from repro.exceptions import (
     SimulationError,
 )
 from repro.local_model import (
-    BatchedScheduler,
     FastNetwork,
     Network,
     RunMetrics,
@@ -76,10 +75,11 @@ from repro.local_model import (
     use_engine,
 )
 
-__version__ = "1.8.0"
+#: 1.9.0 removed the per-node engine; its name stays a deprecated alias of
+#: ``"vectorized"`` (see :func:`repro.local_model.resolve_engine`) until 1.10.
+__version__ = "1.9.0"
 
 __all__ = [
-    "BatchedScheduler",
     "ColoringError",
     "CostModel",
     "DynamicColoring",

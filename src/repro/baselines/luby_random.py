@@ -11,8 +11,8 @@ in ``O(log n)`` rounds with high probability; it stands in for the randomized
 The randomness is derived from ``(seed, unique_id, round)``, so runs are
 reproducible and still independent across vertices.  The phase carries a
 ``vector_run`` kernel (engine ``"vectorized"``): one taken-color bitmask per
-node, conflict detection as CSR scatter ops, and the per-node draws batched
-through :class:`~repro.local_model.rng_kernel.StringSeededDraws` -- the
+node, conflict detection as CSR scatter ops, and the per-node draws made
+all at once through :class:`~repro.local_model.rng_kernel.StringSeededDraws` -- the
 bit-exact replication of ``random.Random(key).choice``.  The three engines
 produce identical colorings, states and metrics (the equivalence suite and
 golden fixtures lock this down).

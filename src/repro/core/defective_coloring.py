@@ -33,9 +33,8 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.local_model.algorithm import SILENT, BroadcastPhase, LocalView, PhasePipeline
-from repro.local_model.batched import NetworkLike
+from repro.local_model.fast_network import NetworkLike, fast_view
 from repro.local_model.engine import make_scheduler
-from repro.local_model.fast_network import fast_view
 from repro.local_model.metrics import RunMetrics
 from repro.local_model.vectorized import VectorContext
 from repro.primitives.kuhn_defective import defective_coloring_pipeline

@@ -23,8 +23,7 @@ from typing import Dict, Hashable, Optional
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.batched import NetworkLike
-from repro.local_model.fast_network import FastNetwork, fast_view
+from repro.local_model.fast_network import FastNetwork, NetworkLike, fast_view
 from repro.local_model.metrics import PhaseMetrics, RunMetrics
 from repro.core.legal_coloring import LegalColoringResult, run_legal_coloring
 from repro.core.parameters import LegalColorParameters, params_for_few_rounds

@@ -3,7 +3,7 @@
 A :class:`DynamicColoring` wraps a CSR
 :class:`~repro.local_model.fast_network.FastNetwork` together with a legal
 color column and keeps the coloring legal while the edge set churns.  Updates
-arrive as batched raw ``int64`` edge arrays
+arrive in batches of raw ``int64`` edge arrays
 (:meth:`DynamicColoring.apply_updates`); each batch is processed in three
 array-native steps:
 
@@ -105,7 +105,7 @@ class UpdateReport:
     palette_bound:
         The session's palette guarantee after this batch (monotone).
     fallback_phases:
-        Vectorized-engine batched-fallback phase names of the repair run
+        Vectorized-engine fallback phase names of the repair run
         (empty on fully vectorized repairs, and for the other engines).
     """
 
@@ -204,7 +204,7 @@ class DynamicColoring:
 
     @property
     def fallback_phase_names(self) -> List[str]:
-        """All batched-fallback phase names seen by the session's runs."""
+        """All vectorized-engine fallback phase names seen by the session's runs."""
         return list(self._fallbacks)
 
     def verify(self) -> None:

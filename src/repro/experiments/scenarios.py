@@ -295,7 +295,7 @@ class Scenario:
     :meth:`with_engine` resolve ``None`` to the process default immediately,
     and :meth:`key` resolves defensively for directly constructed instances.
     Cache entries therefore always record which engine actually computed
-    them -- a ``"vectorized"`` result can never be served for a ``"batched"``
+    them -- a ``"vectorized"`` result can never be served for a ``"reference"``
     request (or vice versa), and a result computed under one process default
     can never alias a run under another.
     """
@@ -304,7 +304,7 @@ class Scenario:
     graph: GraphSpec
     algorithm: str
     params: Tuple[Tuple[str, Any], ...] = ()
-    engine: str = "batched"
+    engine: str = "vectorized"
     capture_colors: bool = False
 
     @classmethod
@@ -314,7 +314,7 @@ class Scenario:
         graph: GraphSpec,
         algorithm: str,
         params: Optional[Mapping[str, Any]] = None,
-        engine: Optional[str] = "batched",
+        engine: Optional[str] = "vectorized",
         capture_colors: bool = False,
     ) -> "Scenario":
         """Build a scenario from a plain parameter mapping.

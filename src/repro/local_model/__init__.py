@@ -11,16 +11,15 @@ The main entry points are:
 * :class:`~repro.local_model.network.Network` -- the communication graph,
 * :class:`~repro.local_model.algorithm.SynchronousPhase` -- the per-node
   protocol abstraction (one phase of an algorithm),
-* :class:`~repro.local_model.scheduler.Scheduler` -- executes phases round by
-  round and accumulates :class:`~repro.local_model.metrics.RunMetrics`,
-* :class:`~repro.local_model.batched.BatchedScheduler` -- the batched round
-  engine, a drop-in replacement producing bit-identical results over a flat
-  CSR representation (the process default),
+* :class:`~repro.local_model.scheduler.Scheduler` -- the reference engine:
+  executes phases round by round and accumulates
+  :class:`~repro.local_model.metrics.RunMetrics`,
 * :class:`~repro.local_model.vectorized.VectorizedScheduler` -- the
-  vectorized color-phase engine: declared pure-color phases run as numpy
-  kernels over the CSR arrays, everything else falls back to the batched
-  path (select any engine via
-  :func:`~repro.local_model.engine.make_scheduler` / ``engine=`` arguments),
+  vectorized color-phase engine (the process default): declared pure-color
+  phases run as numpy kernels over the CSR arrays, everything else falls
+  back to the reference per-phase loop, bit-identically (select any engine
+  via :func:`~repro.local_model.engine.make_scheduler` / ``engine=``
+  arguments),
 * :class:`~repro.local_model.compiled.CompiledScheduler` -- the compiled
   multi-core engine: the vectorized engine plus fused numba / C-extension
   kernels (see :mod:`repro.local_model.kernels`) for the per-round hot
@@ -37,7 +36,6 @@ from repro.local_model.algorithm import (
     SynchronousPhase,
 )
 from repro.local_model import kernels
-from repro.local_model.batched import BatchedScheduler, NetworkLike
 from repro.local_model.compiled import CompiledScheduler
 from repro.local_model.engine import (
     available_engines,
@@ -47,7 +45,7 @@ from repro.local_model.engine import (
     set_default_engine,
     use_engine,
 )
-from repro.local_model.fast_network import FastNetwork, fast_view
+from repro.local_model.fast_network import FastNetwork, NetworkLike, fast_view
 from repro.local_model.line_csr import LineGraphMeta, build_line_graph_fast, line_meta_for
 from repro.local_model.messages import Message, payload_size_words
 from repro.local_model.metrics import RunMetrics
@@ -64,7 +62,6 @@ from repro.local_model.line_graph_sim import (
 
 __all__ = [
     "SILENT",
-    "BatchedScheduler",
     "BroadcastPhase",
     "CompiledScheduler",
     "FastNetwork",

@@ -8,7 +8,7 @@ resolved); every other phase -- and *every* phase when no backend is
 available -- runs the plain numpy ``vector_run`` unchanged, so results are
 bit-identical to the ``"vectorized"`` engine in all configurations.
 
-Accounting mirrors the vectorized engine's batched-fallback bookkeeping:
+Accounting mirrors the vectorized engine's fallback bookkeeping:
 
 * phases with a registered kernel that had to run on numpy because no
   backend resolved are counted per run in
@@ -16,8 +16,8 @@ Accounting mirrors the vectorized engine's batched-fallback bookkeeping:
   scheduler (:attr:`compiled_fallback_phases` /
   :attr:`compiled_fallback_phase_names`);
 * phases with no registered kernel are *not* counted -- numpy is their
-  native compiled-engine path, exactly like non-vectorized phases are the
-  batched engine's native path.
+  native compiled-engine path; phases without ``vector_run`` are counted
+  by the vectorized engine's own reference-fallback bookkeeping.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class CompiledScheduler(VectorizedScheduler):
 
     # The per-run compiled-fallback names are diffed off the cumulative
     # scheduler list around the base-class execution, mirroring how the
-    # vectorized engine threads its batched-fallback names into RunMetrics.
+    # vectorized engine threads its fallback names into RunMetrics.
 
     def run(self, algorithm, *args, **kwargs):
         mark = len(self.compiled_fallback_phase_names)

@@ -1,4 +1,4 @@
-"""Engine selection: reference scheduler, batched engine, vectorized engine.
+"""Engine selection: the reference scheduler and the two array engines.
 
 The package ships three interchangeable execution paths for synchronous
 phases:
@@ -7,15 +7,13 @@ phases:
   direct transcription of the paper's model (one message object at a time,
   per-round validation).  Maximally transparent; use it when debugging a
   phase or when exactness of the *simulation* itself is under scrutiny.
-* ``"batched"`` -- :class:`~repro.local_model.batched.BatchedScheduler`, the
-  flat-array engine (the process-wide default).  Produces bit-identical
-  states and metrics (enforced by ``tests/test_engine_equivalence.py``) at a
-  fraction of the cost.
-* ``"vectorized"`` -- :class:`~repro.local_model.vectorized.VectorizedScheduler`,
-  which additionally executes the pure-color phases (Linial recoloring, the
-  color reductions, the defective polynomial steps, ``psi``-selection) as
-  numpy kernels over the CSR arrays, falling back to the batched path per
-  phase for everything else.  Use it for large instances.
+* ``"vectorized"`` -- :class:`~repro.local_model.vectorized.VectorizedScheduler`
+  (the process-wide default), which executes the pure-color phases (Linial
+  recoloring, the color reductions, the defective polynomial steps,
+  ``psi``-selection, the baselines) as numpy kernels over the CSR arrays and
+  runs any phase without a kernel through the reference per-phase loop.
+  Produces bit-identical states and metrics (enforced by
+  ``tests/test_engine_equivalence.py``) at a fraction of the cost.
 * ``"compiled"`` -- :class:`~repro.local_model.compiled.CompiledScheduler`,
   the vectorized engine plus fused multi-core kernels (numba or a
   C/OpenMP extension, see :mod:`repro.local_model.kernels`) for the per-round
@@ -27,32 +25,32 @@ Every high-level algorithm (``run_legal_coloring``, ``color_edges``, ...)
 accepts an ``engine`` argument that is resolved here; ``None`` falls back to
 the process-wide default, which can be flipped globally with
 :func:`set_default_engine` or temporarily with the :func:`use_engine` context
-manager.
+manager.  The name of the removed per-node engine is still accepted for one
+minor version (see :func:`resolve_engine`).
 """
 
 from __future__ import annotations
 
+import warnings
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Union
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.batched import BatchedScheduler, NetworkLike
 from repro.local_model.compiled import CompiledScheduler
-from repro.local_model.fast_network import FastNetwork
+from repro.local_model.fast_network import FastNetwork, NetworkLike
 from repro.local_model.scheduler import Scheduler
 from repro.local_model.vectorized import VectorizedScheduler
 
 #: Any scheduler class satisfies the same constructor / ``run`` protocol.
-SchedulerLike = Union[Scheduler, BatchedScheduler]
+SchedulerLike = Union[Scheduler, VectorizedScheduler]
 
 _ENGINES: Dict[str, Callable[..., SchedulerLike]] = {
     "reference": Scheduler,
-    "batched": BatchedScheduler,
     "vectorized": VectorizedScheduler,
     "compiled": CompiledScheduler,
 }
 
-_default_engine: str = "batched"
+_default_engine: str = "vectorized"
 
 
 def available_engines() -> tuple:
@@ -61,8 +59,21 @@ def available_engines() -> tuple:
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
-    """Validate ``engine`` and substitute the process default for ``None``."""
+    """Validate ``engine`` and substitute the process default for ``None``.
+
+    The removed per-node engine's name resolves to ``"vectorized"`` with a
+    :class:`DeprecationWarning`, so callers (and scenario cache keys) see
+    the engine that actually runs.
+    """
     name = _default_engine if engine is None else engine
+    if name == "batched":
+        warnings.warn(
+            "engine 'batched' was removed in repro 1.9 and now runs 'vectorized'; "
+            "the alias will be removed in 1.10",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        return "vectorized"
     if name not in _ENGINES:
         raise InvalidParameterError(
             f"unknown engine {name!r}; available engines: {available_engines()}"

@@ -3,10 +3,9 @@
 The reference :class:`~repro.local_model.scheduler.Scheduler` addresses nodes
 by their (hashable) identifiers and re-validates every message with an
 ``O(degree)`` adjacency scan.  For large networks that bookkeeping dominates
-the simulation cost, so the batched engine compiles the network once into a
-:class:`FastNetwork`: nodes become dense indices ``0..n-1``, the adjacency is
-stored CSR-style (one flat ``indices`` array plus ``indptr`` offsets), and
-per-node neighbor-identifier sets give ``O(1)`` message validation.  The
+the simulation cost, so the array engines compile the network once into a
+:class:`FastNetwork`: nodes become dense indices ``0..n-1`` and the adjacency
+is stored CSR-style (one flat ``indices`` array plus ``indptr`` offsets).  The
 compiled form is cached on the network (networks are immutable once
 constructed), so repeated runs -- e.g. the per-level invocations of Procedure
 Legal-Color -- pay the compilation cost only once.
@@ -37,7 +36,7 @@ Three further capabilities sit on top of the CSR representation:
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -87,9 +86,6 @@ class FastNetwork:
         ``neighbor_ids[i]`` is the tuple of neighbor *identifiers* of node
         ``i`` in deterministic order (shared with the owning network, so
         :class:`~repro.local_model.algorithm.LocalView` construction is free).
-    neighbor_id_sets:
-        ``neighbor_id_sets[i]`` is a frozenset of the same identifiers, used
-        for ``O(1)`` message validation.
     degrees:
         ``degrees[i]`` is the degree of node ``i``.
     """
@@ -103,7 +99,6 @@ class FastNetwork:
         "indptr",
         "indices",
         "_neighbor_ids",
-        "_neighbor_id_sets",
         "degrees",
         "num_nodes",
         "max_degree",
@@ -131,13 +126,11 @@ class FastNetwork:
         indptr = array("q", [0])
         indices = array("q")
         neighbor_ids = []
-        neighbor_id_sets = []
         degrees = array("q")
         offset = 0
         for node in order:
             neighbors = network.neighbors(node)
             neighbor_ids.append(neighbors)
-            neighbor_id_sets.append(frozenset(neighbors))
             degrees.append(len(neighbors))
             indices.extend(index_of[neighbor] for neighbor in neighbors)
             offset += len(neighbors)
@@ -145,7 +138,6 @@ class FastNetwork:
         self.indptr = indptr
         self.indices = indices
         self._neighbor_ids = tuple(neighbor_ids)
-        self._neighbor_id_sets = tuple(neighbor_id_sets)
         self.degrees = degrees
 
     # ------------------------------------------------------------------ #
@@ -322,7 +314,6 @@ class FastNetwork:
         built.degrees = _int64_array(np.asarray(degrees, dtype=np.int64))
         built.max_degree = int(np.max(degrees)) if num_nodes else 0
         built._neighbor_ids = None
-        built._neighbor_id_sets = None
         built._index_of = None  # interned lazily from `order` on first use
         if order is None:
             built._order = None
@@ -399,15 +390,6 @@ class FastNetwork:
                 for i in range(self.num_nodes)
             )
         return self._neighbor_ids
-
-    @property
-    def neighbor_id_sets(self) -> Tuple[frozenset, ...]:
-        """Per-node neighbor-identifier frozensets (lazy on derived views)."""
-        if self._neighbor_id_sets is None:
-            self._neighbor_id_sets = tuple(
-                frozenset(neighbors) for neighbors in self.neighbor_ids
-            )
-        return self._neighbor_id_sets
 
     # ------------------------------------------------------------------ #
     # Numpy mirrors (lazy, cached; the substrate of the vectorized engine)
@@ -574,7 +556,6 @@ class FastNetwork:
         # Neighbor-identifier structures are materialized lazily (see the
         # neighbor_ids property): the vectorized engine never touches them.
         derived._neighbor_ids = None
-        derived._neighbor_id_sets = None
         return derived
 
     def with_edge_updates(
@@ -746,6 +727,12 @@ class FastNetwork:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FastNetwork(n={self.num_nodes}, nnz={len(self.indices)})"
+
+
+#: Schedulers and algorithms accept either representation; a FastNetwork is
+#: used as-is, so CSR-masked sub-networks (FastNetwork.filtered) run without
+#: any rebuild.
+NetworkLike = Union[Network, FastNetwork]
 
 
 def as_network(network) -> Network:

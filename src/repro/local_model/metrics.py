@@ -50,7 +50,7 @@ class RunMetrics:
         Per-phase breakdown, in execution order.
     fallback_phase_names:
         Names of the phases that the vectorized engine executed on its
-        batched fallback path, in execution order (empty for the other
+        reference fallback path, in execution order (empty for the other
         engines, and for fully vectorized runs).  Purely informational: it
         is excluded from equality and from the engine-equivalence contract,
         which compares :meth:`summary` and the per-phase breakdown.

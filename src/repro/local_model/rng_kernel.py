@@ -1,4 +1,4 @@
-"""Batched bit-exact replication of CPython's string-seeded random draws.
+"""Vectorized bit-exact replication of CPython's string-seeded random draws.
 
 The Luby baseline derives each candidate color from
 ``random.Random(f"{seed}:{unique_id}:{round}").choice(available)`` so that
@@ -111,7 +111,7 @@ def _key_words(blobs: np.ndarray) -> np.ndarray:
 
 
 def _init_by_array(key_words: np.ndarray) -> np.ndarray:
-    """Batched ``init_by_array``: ``(keylen, g)`` key -> ``(624, g)`` state."""
+    """Vectorized ``init_by_array``: ``(keylen, g)`` key -> ``(624, g)`` state."""
     keylen, g = key_words.shape
     # key[j] + j is what the first loop adds; precompute it per key word.
     key_plus = key_words + np.arange(keylen, dtype=_U32)[:, None]
@@ -197,7 +197,7 @@ def _randbelow_from_states(
 
 
 # --------------------------------------------------------------------------- #
-# Public batched draw API
+# Public array draw API
 # --------------------------------------------------------------------------- #
 
 
@@ -212,7 +212,7 @@ def scalar_randbelow(seed: int, unique_id: int, round_index: int, limit: int) ->
 
 
 class StringSeededDraws:
-    """Per-round batched draws for one ``(seed, unique_ids)`` population.
+    """Per-round array draws for one ``(seed, unique_ids)`` population.
 
     Prepared once per phase execution: the unique ids' decimal byte strings
     are encoded up front, so a round's per-lane work is one bytes
@@ -243,7 +243,7 @@ class StringSeededDraws:
     def draw(
         self, rows: np.ndarray, limits: np.ndarray, round_index: int
     ) -> np.ndarray:
-        """Batched ``_randbelow`` draws for dense-index lanes ``rows``.
+        """Vectorized ``_randbelow`` draws for dense-index lanes ``rows``.
 
         ``limits`` must be positive.  Lanes with ``limit == 1`` always draw
         index 0 (``choice`` of a singleton) and skip the stream entirely --

@@ -1,12 +1,11 @@
 """The columnar node-state store.
 
 Every engine ultimately manipulates *per-node state*: the reference scheduler
-and the batched engine as one Python dictionary per node, the vectorized
-engine as numpy columns gathered from (and scattered back into) those
-dictionaries.  For large instances the dictionaries themselves become the
-bottleneck -- every scheduler run marshals ``n`` dicts in and out, and the
-driver loops of Procedure Legal-Color do per-node tuple bookkeeping between
-runs.
+as one Python dictionary per node, the vectorized engine as numpy columns
+gathered from (and scattered back into) those dictionaries.  For large
+instances the dictionaries themselves become the bottleneck -- every
+scheduler run marshals ``n`` dicts in and out, and the driver loops of
+Procedure Legal-Color do per-node tuple bookkeeping between runs.
 
 :class:`StateTable` stores the same information column-wise:
 
@@ -32,9 +31,9 @@ normalizations are invisible to ``==`` (and therefore to the engine
 equivalence contract): int columns materialize fresh (equal) int objects, and
 interning replaces equal path tuples by one shared tuple object.
 
-The table is the *native* representation of the batched and vectorized
+The table is the *native* representation of the vectorized and compiled
 schedulers' ``run_table`` entry points (see
-:meth:`repro.local_model.batched.BatchedScheduler.run_table`); rows are in
+:meth:`repro.local_model.vectorized.VectorizedScheduler.run_table`); rows are in
 the dense node order of the :class:`~repro.local_model.fast_network.FastNetwork`
 the table travels with, and the table itself never stores node identifiers.
 """

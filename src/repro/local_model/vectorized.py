@@ -1,19 +1,18 @@
-"""The vectorized color-phase engine.
+"""The vectorized color-phase engine (the process-default engine).
 
-The batched engine (:mod:`repro.local_model.batched`) removed the per-message
-bookkeeping but still executes one Python callback per node per round.  For
-the paper's *pure-color* phases -- Linial's set-system recoloring, the
+For the paper's *pure-color* phases -- Linial's set-system recoloring, the
 Kuhn-Wattenhofer block reduction, the defective polynomial steps, the
 ``psi``-selection loop -- a round's messages are just the nodes' current
 colors, so the entire round is expressible as array arithmetic over the CSR
 adjacency of a :class:`~repro.local_model.fast_network.FastNetwork`.
 
-:class:`VectorizedScheduler` runs exactly those phases as numpy kernels and
-transparently falls back to :class:`~repro.local_model.batched.BatchedScheduler`
-for any phase that does not declare one -- a pipeline may freely mix both
-kinds.  A phase opts in by setting ``supports_vectorized = True`` and
-implementing ``vector_run(ctx)``, where ``ctx`` is the :class:`VectorContext`
-defined here.  The contract mirrors the scalar callbacks bit for bit:
+:class:`VectorizedScheduler` runs exactly those phases as numpy kernels.  A
+phase opts in by setting ``supports_vectorized = True`` and implementing
+``vector_run(ctx)``, where ``ctx`` is the :class:`VectorContext` defined
+here; any other phase runs through the reference
+:class:`~repro.local_model.scheduler.Scheduler`'s per-phase loop, so a
+pipeline may freely mix both kinds.  The contract mirrors the scalar
+callbacks bit for bit:
 
 * the final per-node state dictionaries must be *identical* to what the
   reference scheduler produces (including internal scratch keys);
@@ -21,7 +20,7 @@ defined here.  The contract mirrors the scalar callbacks bit for bit:
   identical -- rounds, message count, total words, maximum message size.
 
 ``tests/test_engine_equivalence.py`` and the golden fixtures enforce both,
-for all three engines, across the whole algorithm zoo.  The metric side is
+for every engine, across the whole algorithm zoo.  The metric side is
 made hard to get wrong by the charging helpers on :class:`VectorContext`:
 a uniform broadcast phase (every live node announces one scalar per round,
 all nodes halt together) is fully described by its round count.
@@ -29,16 +28,18 @@ all nodes halt together) is fully described by its round count.
 
 from __future__ import annotations
 
+import functools
 import time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import InvalidParameterError, RoundLimitExceeded, SimulationError
 from repro.local_model.algorithm import LocalView, PhasePipeline, SynchronousPhase
-from repro.local_model.batched import BatchedScheduler
-from repro.local_model.fast_network import FastNetwork
+from repro.local_model.fast_network import FastNetwork, NetworkLike, fast_view
 from repro.local_model.metrics import PhaseMetrics, RunMetrics
+from repro.local_model.network import Network
+from repro.local_model.scheduler import PhaseResult, Scheduler
 from repro.local_model.state_table import StateTable
 
 
@@ -297,19 +298,30 @@ def check_color_range(colors: np.ndarray, palette: int, template: str) -> None:
         )
 
 
-class VectorizedScheduler(BatchedScheduler):
+class VectorizedScheduler:
     """Runs declared color kernels as numpy array programs; falls back otherwise.
 
     The constructor and the :meth:`run` / :meth:`run_table` signatures are
-    those of :class:`~repro.local_model.batched.BatchedScheduler`; only the
-    per-phase execution differs.  A phase executes vectorized exactly when it
-    sets ``supports_vectorized = True`` and provides ``vector_run``; every
-    other phase (including every user-defined phase) runs on the batched path
-    and therefore behaves identically to the ``"batched"`` engine.
+    those of :class:`~repro.local_model.scheduler.Scheduler`:
+
+    network:
+        The communication graph -- a :class:`Network` or a (possibly
+        CSR-masked) :class:`FastNetwork`.
+    globals_extra:
+        Additional globally known values exposed to every node's
+        :class:`~repro.local_model.algorithm.LocalView`.
+    round_limit_factor:
+        Multiplier applied to each phase's ``max_rounds`` safety bound.
+
+    A phase executes vectorized exactly when it sets
+    ``supports_vectorized = True`` and provides ``vector_run``; every other
+    phase (in practice only user-defined phases) runs through the reference
+    scheduler's per-phase loop on :meth:`FastNetwork.to_network`, and
+    therefore behaves identically to the ``"reference"`` engine.
 
     Dispatch is resolved **once per pipeline** by :meth:`_compile` (the plan
     is cached on the pipeline object), not per phase execution.  Every phase
-    that takes the batched path is recorded: cumulatively on the scheduler
+    that takes the fallback path is recorded: cumulatively on the scheduler
     (:attr:`fallback_phases` / :attr:`fallback_phase_names`) and per run on
     ``RunMetrics.fallback_phase_names`` -- a fully vectorized run reports an
     empty list, which is what the zero-fallback tests and the end-to-end
@@ -324,20 +336,122 @@ class VectorizedScheduler(BatchedScheduler):
 
     def __init__(
         self,
-        network,
+        network: NetworkLike,
         globals_extra: Optional[Mapping[str, Any]] = None,
         round_limit_factor: int = 1,
     ) -> None:
-        super().__init__(
-            network,
-            globals_extra=globals_extra,
-            round_limit_factor=round_limit_factor,
-        )
-        #: Number of phase executions that fell back to the batched path
+        self._fast: FastNetwork = fast_view(network)
+        self._globals: Dict[str, Any] = {
+            "n": self._fast.num_nodes,
+            "max_degree": self._fast.max_degree,
+        }
+        if globals_extra:
+            self._globals.update(globals_extra)
+        if round_limit_factor < 1:
+            raise SimulationError("round_limit_factor must be at least 1")
+        self._round_limit_factor = round_limit_factor
+        #: Number of phase executions that fell back to the reference loop
         #: (cumulative over every run of this scheduler instance).
         self.fallback_phases: int = 0
         #: Names of those phases, in execution order.
         self.fallback_phase_names: List[str] = []
+        self._reference: Optional[Scheduler] = None
+
+    @property
+    def network(self) -> Network:
+        """The :class:`Network` this scheduler runs on.
+
+        For a scheduler constructed from a CSR-masked
+        :class:`~repro.local_model.fast_network.FastNetwork` the network is
+        materialized (and cached) on first access; vectorized execution
+        itself never needs it.
+        """
+        return self._fast.to_network()
+
+    def run(
+        self,
+        algorithm: Union[SynchronousPhase, PhasePipeline],
+        initial_states: Optional[Mapping[Hashable, Dict[str, Any]]] = None,
+        globals_override: Optional[Mapping[str, Any]] = None,
+    ) -> PhaseResult:
+        """Run a phase or a pipeline to completion and return its result.
+
+        Same contract as :meth:`Scheduler.run`; ``initial_states`` entries are
+        copied into the per-node state dictionaries before the first phase.
+        """
+        fast = self._fast
+        n = fast.num_nodes
+        order = fast.order
+        index_of = fast.index_of
+
+        states: List[Dict[str, Any]] = [{} for _ in range(n)]
+        if initial_states:
+            for node_id, seed in initial_states.items():
+                index = index_of.get(node_id)
+                if index is not None:
+                    states[index].update(dict(seed))
+
+        metrics = self._execute(algorithm, states, globals_override)
+        return PhaseResult(
+            states={order[i]: states[i] for i in range(n)},
+            metrics=metrics,
+        )
+
+    # ------------------------------------------------------------------ #
+    # Views and the reference fallback
+    # ------------------------------------------------------------------ #
+
+    def _views_provider(
+        self, globals_override: Optional[Mapping[str, Any]]
+    ) -> Callable[[], List[LocalView]]:
+        """The per-node :class:`LocalView` list, built on first call only.
+
+        A fully vectorized run never calls it, so it never pays for the
+        per-node objects.
+        """
+        global_values = dict(self._globals)
+        if globals_override:
+            global_values.update(globals_override)
+        return functools.cache(lambda: self._build_views(global_values))
+
+    def _build_views(self, global_values: Mapping[str, Any]) -> List[LocalView]:
+        fast = self._fast
+        order = fast.order
+        unique_ids = fast.unique_ids
+        neighbor_ids = fast.neighbor_ids
+        return [
+            LocalView(
+                node_id=order[i],
+                unique_id=unique_ids[i],
+                neighbors=neighbor_ids[i],
+                globals=global_values,
+            )
+            for i in range(fast.num_nodes)
+        ]
+
+    def _run_fallback_phase(
+        self,
+        phase: SynchronousPhase,
+        states: List[Dict[str, Any]],
+        views: List[LocalView],
+    ) -> PhaseMetrics:
+        """Run a phase without ``vector_run`` on the reference scheduler.
+
+        The dense ``states`` dictionaries are handed to the reference
+        per-phase loop as the node states (mutated in place), so the phase
+        sees exactly the semantics -- message validation, round budget,
+        error text -- of the ``"reference"`` engine.
+        """
+        if self._reference is None:
+            self._reference = Scheduler(
+                self._fast.to_network(), round_limit_factor=self._round_limit_factor
+            )
+        nodes = self._reference.network.create_nodes()
+        for view, state in zip(views, states):
+            nodes[view.node_id].state = state
+        return self._reference._run_single_phase(
+            phase, nodes, {view.node_id: view for view in views}
+        )
 
     # ------------------------------------------------------------------ #
     # Pipeline compilation (one-time dispatch resolution)
@@ -420,20 +534,12 @@ class VectorizedScheduler(BatchedScheduler):
     ) -> RunMetrics:
         """Dict-backed execution (the :meth:`run` path), plan-driven."""
         plan = self._compile(algorithm)
-        global_values = self._resolved_globals(globals_override)
-        views: Optional[List[LocalView]] = None
-
-        def views_provider() -> List[LocalView]:
-            nonlocal views
-            if views is None:
-                views = self._build_views(global_values)
-            return views
-
+        views_provider = self._views_provider(globals_override)
         metrics = RunMetrics()
         for phase, vector_run in plan:
             started = time.perf_counter()
             if vector_run is None:
-                phase_metrics = self._run_single_phase(
+                phase_metrics = self._run_fallback_phase(
                     phase, states, views_provider()
                 )
                 self._note_fallback(phase, metrics)
@@ -454,10 +560,10 @@ class VectorizedScheduler(BatchedScheduler):
         """Run with the :class:`StateTable` as the *native* node state.
 
         Vectorized phases operate directly on the table's columns; a phase
-        that falls back materializes the dict view once, runs batched, and
-        the columns are re-absorbed before the next vectorized phase.  On a
-        fully vectorized pipeline no per-node dictionary (and no per-node
-        ``LocalView``) is ever created.
+        that falls back materializes the dict view once, runs on the
+        reference loop, and the columns are re-absorbed before the next
+        vectorized phase.  On a fully vectorized pipeline no per-node
+        dictionary (and no per-node ``LocalView``) is ever created.
         """
         fast = self._fast
         if table.num_rows != fast.num_nodes:
@@ -466,15 +572,7 @@ class VectorizedScheduler(BatchedScheduler):
                 f"{fast.num_nodes} nodes"
             )
         plan = self._compile(algorithm)
-        global_values = self._resolved_globals(globals_override)
-        views: Optional[List[LocalView]] = None
-
-        def views_provider() -> List[LocalView]:
-            nonlocal views
-            if views is None:
-                views = self._build_views(global_values)
-            return views
-
+        views_provider = self._views_provider(globals_override)
         metrics = RunMetrics()
         states: Optional[List[Dict[str, Any]]] = None
         for phase, vector_run in plan:
@@ -482,7 +580,7 @@ class VectorizedScheduler(BatchedScheduler):
             if vector_run is None:
                 if states is None:
                     states = table.to_dicts()
-                phase_metrics = self._run_single_phase(
+                phase_metrics = self._run_fallback_phase(
                     phase, states, views_provider()
                 )
                 self._note_fallback(phase, metrics)

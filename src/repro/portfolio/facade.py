@@ -1,13 +1,15 @@
 """`color_graph` / `color_edges`: the auto-tuning front door of the repo.
 
 Both entry points take a graph (legacy :class:`Network` or CSR
-:class:`FastNetwork`), consult the measured :class:`CostModel`, and pick
+:class:`FastNetwork`), consult the measured :class:`CostModel` (loaded once
+per process), and pick
 
 * the **algorithm** — the paper's Legal-Color pipeline by default for
   edges (and for vertices when a neighborhood-independence bound ``c`` is
   supplied), the Luby randomized baseline for general vertex coloring;
-* the **engine** — ``"batched"`` versus the ``"vectorized"`` numpy kernels,
-  by predicted wall seconds for the instance's CSR size;
+* the **engine** — ``"compiled"`` when a kernel backend resolved on this
+  machine, else the ``"vectorized"`` numpy kernels (compiled is the faster
+  of the two array engines at every measured size, so nothing is priced);
 * the **quality preset** — the Theorem 4.8 palette/rounds tradeoff point,
   by walking the presets from best palette to fastest until the predicted
   round count fits the caller's ``budget``;
@@ -35,6 +37,7 @@ from repro.core.edge_coloring import color_edges as core_color_edges
 from repro.core.legal_coloring import color_vertices as core_color_vertices
 from repro.exceptions import InvalidParameterError
 from repro.local_model import kernels
+from repro.local_model.engine import resolve_engine
 from repro.local_model.fast_network import fast_view
 from repro.portfolio.cost_model import CostModel
 from repro.portfolio.result import PortfolioDecision, PortfolioResult
@@ -50,7 +53,7 @@ def _invoke_degradable(invoke, engine: str, reasons: dict):
 
     On an :class:`~repro.exceptions.EngineFailure` the call is retried on the
     next bit-identical engine down the chain (compiled -> vectorized ->
-    batched -> reference).  A degradation is narrated in ``reasons["engine"]``
+    reference).  A degradation is narrated in ``reasons["engine"]``
     and stamped on the result's metrics, so the decision record never claims
     an engine that did not actually produce the coloring.
     """
@@ -65,11 +68,6 @@ def _invoke_degradable(invoke, engine: str, reasons: dict):
     return outcome
 
 
-def _csr_entries(fast) -> int:
-    """Directed adjacency entries plus nodes: the per-round work unit."""
-    return int(fast.degrees_np.sum()) + fast.num_nodes
-
-
 def _line_csr_entries(fast) -> int:
     """The CSR size of ``L(G)``, straight from ``G``'s degree column.
 
@@ -82,33 +80,17 @@ def _line_csr_entries(fast) -> int:
     return int((degrees * degrees).sum()) - 2 * num_edges + num_edges
 
 
-def _decide_engine(model: CostModel, entries: int, override: Optional[str]):
-    predicted = {
-        "engine_batched_seconds": model.predict_engine_seconds("batched", entries),
-        "engine_vectorized_seconds": model.predict_engine_seconds("vectorized", entries),
-    }
-    backend = kernels.backend_name()
-    if model.has_engine("compiled"):
-        predicted["engine_compiled_seconds"] = model.predict_engine_seconds(
-            "compiled", entries
-        )
+def _decide_engine(override: Optional[str]):
+    """``(engine, reason)``: compiled on a resolved kernel backend, else vectorized."""
     if override is not None:
-        return override, "engine pinned by caller", predicted
-    engine = model.choose_engine(entries, compiled_available=backend is not None)
-    reason = (
-        f"predicted {predicted['engine_vectorized_seconds']:.4f}s vectorized vs "
-        f"{predicted['engine_batched_seconds']:.4f}s batched on {entries} CSR entries"
+        return resolve_engine(override), "engine pinned by caller"
+    backend = kernels.backend_name()
+    if backend is not None:
+        return "compiled", f"fused kernels on kernel backend {backend!r}"
+    return (
+        "vectorized",
+        f"numpy kernels: no kernel backend resolved ({kernels.backend_reason()})",
     )
-    if "engine_compiled_seconds" in predicted:
-        reason += (
-            f"; compiled predicted {predicted['engine_compiled_seconds']:.4f}s "
-            + (
-                f"on kernel backend {backend!r}"
-                if backend is not None
-                else "but no kernel backend resolved"
-            )
-        )
-    return engine, reason, predicted
 
 
 def _decide_quality(
@@ -170,8 +152,8 @@ def color_graph(
     algorithm:
         ``"legal-color"`` or ``"luby"`` to bypass the algorithm choice.
     engine:
-        Execution engine override (``"reference"`` / ``"batched"`` /
-        ``"vectorized"`` / ``"compiled"``).
+        Execution engine override (``"reference"`` / ``"vectorized"`` /
+        ``"compiled"``).
     epsilon:
         Exponent knob forwarded to the Legal-Color presets.
     seed:
@@ -216,10 +198,7 @@ def color_graph(
             "quality presets only apply to the Legal-Color algorithm"
         )
 
-    engine, reasons["engine"], engine_predicted = _decide_engine(
-        model, _csr_entries(fast), engine
-    )
-    predicted.update(engine_predicted)
+    engine, reasons["engine"] = _decide_engine(engine)
 
     if algorithm == "legal-color":
         quality, reasons["quality"], quality_predicted = _decide_quality(
@@ -320,13 +299,7 @@ def color_edges(
                 "quality presets only apply to the Legal-Color algorithm"
             )
 
-    # All four algorithms do their work on L(G), so the engine decision is
-    # driven by the line graph's CSR size (computable from G's degrees).
-    line_entries = _line_csr_entries(fast)
-    engine, reasons["engine"], engine_predicted = _decide_engine(
-        model, line_entries, engine
-    )
-    predicted.update(engine_predicted)
+    engine, reasons["engine"] = _decide_engine(engine)
 
     if algorithm == "legal-color":
         delta_line = max(1, 2 * fast.max_degree - 2) if fast.max_degree else 1
@@ -334,6 +307,8 @@ def color_edges(
             model, delta_line, max(2, fast.num_nodes), budget, epsilon, quality
         )
         predicted.update(quality_predicted)
+        # The route is priced on L(G)'s CSR size (computable from G's degrees).
+        line_entries = _line_csr_entries(fast)
         predicted["route_direct_seconds"] = model.predict_route_seconds(
             "direct", line_entries
         )

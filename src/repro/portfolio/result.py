@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.core.edge_coloring import EdgeColoringResult
 from repro.core.legal_coloring import LegalColoringResult
+from repro.local_model.engine import default_engine
 from repro.local_model.metrics import RunMetrics
 
 
@@ -49,12 +50,12 @@ class PortfolioDecision:
         """Whether the chosen (engine, quality, route) is the default triple.
 
         The defaults are the ones a plain ``core`` call would use: the
-        process-default ``"batched"`` engine, the ``"linear"`` preset (or no
-        preset, for the preset-free baselines), and the ``"direct"`` route
-        (or no route, for vertex colorings).
+        process-default engine (:func:`~repro.local_model.engine.default_engine`),
+        the ``"linear"`` preset (or no preset, for the preset-free baselines),
+        and the ``"direct"`` route (or no route, for vertex colorings).
         """
         return (
-            self.engine == "batched"
+            self.engine == default_engine()
             and self.quality in (None, "linear")
             and self.route in (None, "direct")
         )

@@ -10,7 +10,7 @@ one machine first, where every failure mode is deterministic and testable:
   sweep positions and attempts, env-propagated so process-pool runs are
   injectable;
 * :mod:`repro.resilience.degrade` -- the engine degradation chain
-  (compiled -> vectorized -> batched -> reference) that re-runs work on the
+  (compiled -> vectorized -> reference) that re-runs work on the
   next bit-identical engine when one fails as infrastructure.
 
 The hardened :class:`~repro.experiments.ExperimentRunner` (retries, soft

@@ -1,6 +1,6 @@
-"""Graceful engine degradation: compiled -> vectorized -> batched -> reference.
+"""Graceful engine degradation: compiled -> vectorized -> reference.
 
-All four execution engines are bit-identical by contract (enforced by the
+All three execution engines are bit-identical by contract (enforced by the
 engine-equivalence suite), so when one of them breaks as *infrastructure* --
 a kernel backend whose shared library vanished, a poisoned ctypes handle, an
 injected fault -- the correct recovery is simply to re-run the same work on
@@ -26,7 +26,7 @@ from repro.exceptions import EngineFailure
 
 #: Fastest-first fallback order.  ``"reference"`` is the end of the line: it
 #: has no kernels, no numpy fast paths, and no backend to lose.
-DEGRADE_CHAIN: Tuple[str, ...] = ("compiled", "vectorized", "batched", "reference")
+DEGRADE_CHAIN: Tuple[str, ...] = ("compiled", "vectorized", "reference")
 
 
 def degrade_path(engine: str, chain: Tuple[str, ...] = DEGRADE_CHAIN) -> Tuple[str, ...]:

@@ -1,10 +1,10 @@
-"""Three-engine equivalence for the vectorized baseline kernels.
+"""Engine equivalence for the vectorized baseline kernels.
 
 The PR 7 tentpole gives the Luby, Panconesi–Rizzi, and greedy-reduction
 baselines fully array-native execution paths.  These tests lock down that
-(1) all three engines produce identical colorings, final states, and
-metrics, (2) the vectorized engine runs each baseline with ZERO batched
-fallbacks on regular and heavy-tailed families alike, and (3) the
+(1) the vectorized and reference engines produce identical colorings,
+final states, and metrics, (2) the vectorized engine runs each baseline with
+ZERO fallbacks on regular and heavy-tailed families alike, and (3) the
 normalized result objects carry consistent `color_column`s.
 """
 
@@ -31,7 +31,7 @@ from repro.verification import (
     assert_legal_vertex_coloring,
 )
 
-ENGINES = ("reference", "batched", "vectorized")
+ENGINES = ("reference", "vectorized")
 
 FAMILIES = {
     "regular": lambda: graphs.random_regular(48, 6, seed=11),
@@ -64,15 +64,14 @@ class TestLubyEngineEquivalence:
             states[engine], metrics[engine] = run_luby_states(
                 network, engine, palette
             )
-        assert states["reference"] == states["batched"] == states["vectorized"]
-        for engine in ("batched", "vectorized"):
-            assert metrics[engine].rounds == metrics["reference"].rounds
-            assert metrics[engine].messages == metrics["reference"].messages
-            assert metrics[engine].total_words == metrics["reference"].total_words
-            assert (
-                metrics[engine].max_message_words
-                == metrics["reference"].max_message_words
-            )
+        assert states["reference"] == states["vectorized"]
+        assert metrics["vectorized"].rounds == metrics["reference"].rounds
+        assert metrics["vectorized"].messages == metrics["reference"].messages
+        assert metrics["vectorized"].total_words == metrics["reference"].total_words
+        assert (
+            metrics["vectorized"].max_message_words
+            == metrics["reference"].max_message_words
+        )
         assert metrics["vectorized"].fallback_phase_names == []
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -83,11 +82,10 @@ class TestLubyEngineEquivalence:
             for engine in ENGINES
         }
         assert_legal_vertex_coloring(network, results["vectorized"].colors)
-        for engine in ("batched", "vectorized"):
-            assert results[engine].colors == results["reference"].colors
-            assert np.array_equal(
-                results[engine].color_column, results["reference"].color_column
-            )
+        assert results["vectorized"].colors == results["reference"].colors
+        assert np.array_equal(
+            results["vectorized"].color_column, results["reference"].color_column
+        )
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -98,11 +96,11 @@ class TestLubyEngineEquivalence:
     def test_hypothesis_er_equivalence(self, n, seed, p_percent):
         network = graphs.erdos_renyi(n, p_percent / 100.0, seed=seed)
         palette = max(1, fast_view(network).max_degree + 1)
-        sb, mb = run_luby_states(network, "batched", palette, seed=seed)
+        sr, mr = run_luby_states(network, "reference", palette, seed=seed)
         sv, mv = run_luby_states(network, "vectorized", palette, seed=seed)
-        assert sb == sv
-        assert mb.rounds == mv.rounds
-        assert mb.messages == mv.messages
+        assert sr == sv
+        assert mr.rounds == mv.rounds
+        assert mr.messages == mv.messages
         assert mv.fallback_phase_names == []
 
 
@@ -117,19 +115,11 @@ class TestLineGraphBaselinesVectorized:
         network = FAMILIES[family]()
         results = {engine: baseline(network, engine=engine) for engine in ENGINES}
         assert_legal_edge_coloring(network, results["vectorized"].edge_colors)
-        for engine in ("batched", "vectorized"):
-            assert (
-                results[engine].edge_colors == results["reference"].edge_colors
-            )
-            assert results[engine].palette == results["reference"].palette
-            assert (
-                results[engine].metrics.rounds
-                == results["reference"].metrics.rounds
-            )
-            assert (
-                results[engine].metrics.messages
-                == results["reference"].metrics.messages
-            )
+        vectorized, reference = results["vectorized"], results["reference"]
+        assert vectorized.edge_colors == reference.edge_colors
+        assert vectorized.palette == reference.palette
+        assert vectorized.metrics.rounds == reference.metrics.rounds
+        assert vectorized.metrics.messages == reference.metrics.messages
         assert results["vectorized"].metrics.fallback_phase_names == []
 
     def test_color_column_matches_mapping(self):

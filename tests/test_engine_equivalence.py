@@ -1,7 +1,6 @@
-"""Batched == vectorized == compiled engine == reference scheduler, bit for bit.
+"""Vectorized == compiled engine == reference scheduler, bit for bit.
 
-The batched round engine (:class:`repro.local_model.BatchedScheduler`), the
-vectorized color-phase engine
+The vectorized color-phase engine
 (:class:`repro.local_model.VectorizedScheduler`) and the compiled
 kernel-dispatch engine (:class:`repro.local_model.CompiledScheduler`) are
 only trustworthy because these tests pin them to the reference scheduler:
@@ -33,7 +32,6 @@ from repro.core import (
 from repro.core.defective_coloring import defective_color_pipeline
 from repro.graphs.line_graph import line_graph_network
 from repro.local_model import (
-    BatchedScheduler,
     CompiledScheduler,
     Network,
     Scheduler,
@@ -46,11 +44,10 @@ from repro.primitives.color_reduction import delta_plus_one_pipeline
 from repro.primitives.kuhn_defective import defective_coloring_pipeline
 
 #: The engines whose outputs must be indistinguishable from the reference.
-FAST_ENGINES = ("batched", "vectorized", "compiled")
+FAST_ENGINES = ("vectorized", "compiled")
 
 ENGINE_CLASSES = {
     "reference": Scheduler,
-    "batched": BatchedScheduler,
     "vectorized": VectorizedScheduler,
     "compiled": CompiledScheduler,
 }
@@ -104,7 +101,7 @@ class TestSchedulerLevelEquivalence:
 
     def _compare(self, network: Network, pipeline, initial_states=None):
         reference = Scheduler(network).run(pipeline, initial_states=initial_states)
-        for engine_cls in (BatchedScheduler, VectorizedScheduler, CompiledScheduler):
+        for engine_cls in (VectorizedScheduler, CompiledScheduler):
             candidate = engine_cls(network).run(
                 pipeline, initial_states=initial_states
             )
@@ -324,7 +321,7 @@ class TestBaselineEquivalence:
 
 
 class TestVectorizedFallbackAccounting:
-    """The Legal-Color pipeline runs fully vectorized -- zero batched fallbacks.
+    """The Legal-Color pipeline runs fully vectorized -- zero fallbacks.
 
     The whole point of the columnar state store is that no phase of the
     Legal-Color pipeline family hands execution back to per-node Python; the
@@ -382,7 +379,7 @@ class TestVectorizedFallbackAccounting:
     def test_edge_mode_runs_vectorized(self):
         # The Corollary 5.4 edge phase has a CSR kernel (over the line-graph
         # incidence encoding): edge-mode Defective-Color must execute with
-        # zero batched fallbacks and still match the reference bit for bit.
+        # zero fallbacks and still match the reference bit for bit.
         line = line_graph_network(graphs.random_regular(16, 6, seed=4))
         reference = run_defective_color(line, b=2, p=3, c=2, mode="edge", engine="reference")
         colors, _, metrics = run_defective_color(
@@ -415,22 +412,38 @@ class TestEngineSelection:
         for engine, engine_cls in ENGINE_CLASSES.items():
             assert isinstance(make_scheduler(triangle, engine=engine), engine_cls)
 
-    def test_default_engine_is_batched(self, triangle):
-        # The ROADMAP's scheduled flip: the batched engine is the process
-        # default, the reference scheduler is the opt-in auditing tool.
-        from repro.local_model import default_engine
+    def test_default_engine_is_vectorized(self, triangle):
+        # The vectorized engine is the process default; the reference
+        # scheduler is the opt-in auditing tool.
+        from repro.local_model import available_engines, default_engine
 
-        assert default_engine() == "batched"
-        assert isinstance(make_scheduler(triangle), BatchedScheduler)
-        assert not isinstance(make_scheduler(triangle), VectorizedScheduler)
+        assert available_engines() == ("compiled", "reference", "vectorized")
+        assert default_engine() == "vectorized"
+        assert type(make_scheduler(triangle)) is VectorizedScheduler
 
     def test_use_engine_context_switches_default(self, triangle):
-        with use_engine("vectorized"):
-            assert isinstance(make_scheduler(triangle), VectorizedScheduler)
-        assert isinstance(make_scheduler(triangle), BatchedScheduler)
+        with use_engine("compiled"):
+            assert isinstance(make_scheduler(triangle), CompiledScheduler)
+        assert type(make_scheduler(triangle)) is VectorizedScheduler
         with use_engine("reference"):
             assert isinstance(make_scheduler(triangle), Scheduler)
-        assert isinstance(make_scheduler(triangle), BatchedScheduler)
+        assert type(make_scheduler(triangle)) is VectorizedScheduler
+
+    def test_removed_engine_name_is_a_deprecated_alias(self, small_regular):
+        # The per-node engine is gone; its name warns and runs "vectorized",
+        # so scenario cache keys name the engine that actually ran.
+        from repro.experiments import GraphSpec, Scenario
+
+        baseline = color_vertices(small_regular, c=4, engine="vectorized")
+        with pytest.warns(DeprecationWarning, match="vectorized"):
+            aliased = color_vertices(small_regular, c=4, engine="batched")
+        assert (aliased.color_column == baseline.color_column).all()
+        assert aliased.metrics == baseline.metrics
+        with pytest.warns(DeprecationWarning):
+            scenario = Scenario.make(
+                "alias", GraphSpec("cycle", n=8), "legal_coloring", engine="batched"
+            )
+        assert scenario.engine == "vectorized"
 
     def test_unknown_engine_rejected(self, triangle):
         from repro.exceptions import InvalidParameterError
@@ -445,9 +458,13 @@ class TestEngineSelection:
             switched = color_vertices(small_regular, c=4)
         assert switched.colors == baseline.colors
 
-    @pytest.mark.parametrize(
-        "engine_cls", [BatchedScheduler, VectorizedScheduler, CompiledScheduler]
-    )
+    @staticmethod
+    def _reference_error(network, phase, error_cls) -> str:
+        with pytest.raises(error_cls) as reference:
+            Scheduler(network).run(phase)
+        return str(reference.value)
+
+    @pytest.mark.parametrize("engine_cls", [VectorizedScheduler, CompiledScheduler])
     def test_non_neighbor_message_rejected(self, triangle, engine_cls):
         from repro.exceptions import SimulationError
         from repro.local_model import SynchronousPhase
@@ -461,12 +478,12 @@ class TestEngineSelection:
             def receive(self, view, state, inbox, round_index):
                 return True
 
-        with pytest.raises(SimulationError):
+        expected = self._reference_error(triangle, Misbehaving(), SimulationError)
+        with pytest.raises(SimulationError) as raised:
             engine_cls(triangle).run(Misbehaving())
+        assert str(raised.value) == expected
 
-    @pytest.mark.parametrize(
-        "engine_cls", [BatchedScheduler, VectorizedScheduler, CompiledScheduler]
-    )
+    @pytest.mark.parametrize("engine_cls", [VectorizedScheduler, CompiledScheduler])
     def test_round_limit_enforced(self, triangle, engine_cls):
         from repro.exceptions import RoundLimitExceeded
         from repro.local_model import SynchronousPhase
@@ -483,11 +500,13 @@ class TestEngineSelection:
             def max_rounds(self, n, max_degree):
                 return 5
 
-        with pytest.raises(RoundLimitExceeded):
+        expected = self._reference_error(triangle, NeverHalting(), RoundLimitExceeded)
+        with pytest.raises(RoundLimitExceeded) as raised:
             engine_cls(triangle).run(NeverHalting())
+        assert str(raised.value) == expected
 
     def test_vectorized_falls_back_for_undeclared_phases(self, small_regular):
-        """A custom phase without a kernel runs on the batched path, unchanged."""
+        """A custom phase without a kernel runs on the reference path, unchanged."""
         from repro.local_model import BroadcastPhase, SILENT
 
         class MaxNeighborId(BroadcastPhase):

@@ -384,7 +384,7 @@ class TestCoordinatorResume:
                 worker="ghost",
                 status="ok",
                 payload=ghost_payload,
-                engine_used="batched",
+                engine_used="vectorized",
                 integrity=payload_digest(ghost_payload),
             )
         )
@@ -454,7 +454,7 @@ class TestSpoolDataclassProtocol:
             attempt=0,
             worker="w1",
             payload=payload,
-            engine_used="batched",
+            engine_used="vectorized",
             degraded_from=("compiled",),
             integrity=payload_digest(payload),
         )

@@ -19,7 +19,7 @@ from repro.experiments import (
 )
 
 
-def legal_scenario(degree=4, n=16, seed=1, engine="batched", **kwargs) -> Scenario:
+def legal_scenario(degree=4, n=16, seed=1, engine="vectorized", **kwargs) -> Scenario:
     return Scenario.make(
         name=f"legal-d{degree}-n{n}-s{seed}",
         graph=GraphSpec("random_regular", n=n, degree=degree, seed=seed),
@@ -233,7 +233,7 @@ class TestEngineCacheKeys:
 
     Results computed by one engine must never be served for another --
     in particular ``"vectorized"`` results can never collide with
-    ``"batched"`` ones cached before the engine existed -- and a scenario
+    ``"reference"`` ones -- and a scenario
     built with ``engine=None`` must resolve the process default *eagerly* so
     its cache identity cannot drift when the default changes.
     """
@@ -241,7 +241,7 @@ class TestEngineCacheKeys:
     def test_tokens_differ_per_engine(self):
         tokens = {
             legal_scenario(engine=engine).cache_token()
-            for engine in ("reference", "batched", "vectorized")
+            for engine in ("reference", "vectorized", "compiled")
         }
         assert len(tokens) == 3
 
@@ -251,13 +251,13 @@ class TestEngineCacheKeys:
         scenario = legal_scenario(engine=None)
         assert scenario.engine == default_engine()
         assert scenario.key()["engine"] == default_engine()
-        with use_engine("vectorized"):
+        with use_engine("compiled"):
             pinned = legal_scenario(engine=None)
-        assert pinned.engine == "vectorized"
+        assert pinned.engine == "compiled"
         # The resolution happened at construction time: the token does not
         # change when the ambient default changes afterwards.
         with use_engine("reference"):
-            assert pinned.cache_token() == pinned.with_engine("vectorized").cache_token()
+            assert pinned.cache_token() == pinned.with_engine("compiled").cache_token()
 
     def test_with_engine_none_resolves_to_concrete_default(self):
         from repro.local_model import default_engine
@@ -276,14 +276,14 @@ class TestEngineCacheKeys:
         )
         assert scenario.key()["engine"] == default_engine()
 
-    def test_vectorized_and_batched_cache_entries_coexist(self, tmp_path):
+    def test_vectorized_and_reference_cache_entries_coexist(self, tmp_path):
         runner = ExperimentRunner(cache_dir=tmp_path, max_workers=0)
-        batched = legal_scenario(engine="batched")
+        reference = legal_scenario(engine="reference")
         vectorized = legal_scenario(engine="vectorized")
-        first = runner.run([batched, vectorized])
+        first = runner.run([reference, vectorized])
         assert [r.cached for r in first] == [False, False]
         assert len(runner.cache) == 2
-        again = runner.run([batched, vectorized])
+        again = runner.run([reference, vectorized])
         assert [r.cached for r in again] == [True, True]
         # Same deterministic algorithm, same graph: identical colorings.
         assert again[0].coloring_digest == again[1].coloring_digest

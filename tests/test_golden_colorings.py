@@ -1,6 +1,6 @@
 """Golden regression tests: seeded outputs are frozen under ``tests/data/``.
 
-Every fixture in :mod:`make_goldens` is executed on *all four* engines and
+Every fixture in :mod:`make_goldens` is executed on *all three* engines and
 compared -- full coloring, palette, round count, message count, bandwidth --
 against its committed golden file.  A mismatch means an (intentional or not)
 behavior change: if intentional, regenerate with
@@ -29,9 +29,7 @@ SUMMARY_FIELDS = (
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
-@pytest.mark.parametrize(
-    "engine", ["reference", "batched", "vectorized", "compiled"]
-)
+@pytest.mark.parametrize("engine", ["reference", "vectorized", "compiled"])
 def test_golden_coloring(name, engine):
     path = golden_path(name)
     assert path.exists(), (

@@ -1,11 +1,12 @@
 """Decision pinning for the `color_graph` / `color_edges` portfolio façade.
 
-The façade decides (engine, quality preset, route) per instance from the
-committed cost model (``benchmarks/results/portfolio_model.json``).  These
-tests pin the decisions on the three benchmarked instance classes — small,
-large, and dense — so a model re-record that silently flips a decision
-fails loudly, and they check that every decision is carried on the result
-object with its reason and predicted costs.
+The façade decides the engine from the resolved kernel backend and the
+(quality preset, route) pair per instance from the committed cost model
+(``benchmarks/results/portfolio_model.json``).  These tests pin the
+decisions on the three benchmarked instance classes — small, large, and
+dense — so a model re-record that silently flips a decision fails loudly,
+and they check that every decision is carried on the result object with its
+reason and predicted costs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from repro.portfolio import (
     color_graph,
 )
 from repro.portfolio.cost_model import DEFAULT_MODEL, quality_round_shape
-from repro.portfolio.facade import _csr_entries, _line_csr_entries
+from repro.portfolio.facade import _line_csr_entries
+from repro.local_model import default_engine, kernels
 from repro.local_model.fast_network import fast_view
 from repro.verification import (
     assert_legal_edge_coloring,
@@ -48,40 +50,35 @@ class TestCommittedModel:
         model = CostModel.default()
         assert model.source == str(MODEL_RECORD)
 
+    def test_default_model_is_loaded_once_per_process(self, monkeypatch):
+        loads = []
+        original = CostModel.from_json.__func__
+
+        def counting_from_json(cls, path):
+            loads.append(path)
+            return original(cls, path)
+
+        monkeypatch.setattr(CostModel, "from_json", classmethod(counting_from_json))
+        CostModel.default.cache_clear()
+        try:
+            network = graphs.random_regular(16, 4, seed=3, backend="fast")
+            color_graph(network, seed=1)
+            color_edges(network)
+            assert CostModel.default() is CostModel.default()
+            assert len(loads) == 1
+        finally:
+            CostModel.default.cache_clear()
+
     def test_embedded_snapshot_matches_committed_record(self):
         # The in-package fallback must stay in sync with the record so an
         # installed package decides identically to a repo checkout.
         with MODEL_RECORD.open() as handle:
             record = json.load(handle)
-        for section in ("engine", "route", "rounds"):
+        for section in ("route", "rounds"):
             assert record[section] == DEFAULT_MODEL[section]
-
-    def test_engine_crossover(self):
-        model = CostModel.default()
-        assert model.choose_engine(500) == "batched"
-        # Without a resolved kernel backend the crossover lands on the
-        # vectorized kernels; with one, the compiled engine's smaller slope
-        # wins the same instance.
-        assert model.choose_engine(200_000, compiled_available=False) == "vectorized"
-        assert model.choose_engine(200_000, compiled_available=True) == "compiled"
-
-    def test_compiled_candidate_requires_coefficients(self):
-        # A model without compiled coefficients never offers the engine,
-        # however large the instance and whatever the backend state.
-        stripped = {
-            "engine": {
-                k: v
-                for k, v in DEFAULT_MODEL["engine"].items()
-                if not k.startswith("compiled")
-            },
-            "route": dict(DEFAULT_MODEL["route"]),
-            "rounds": {q: dict(DEFAULT_MODEL["rounds"][q]) for q in QUALITY_ORDER},
-        }
-        model = CostModel.from_mapping(stripped, source="unit-test")
-        assert not model.has_engine("compiled")
-        assert model.choose_engine(10_000_000, compiled_available=True) == "vectorized"
-        with pytest.raises(InvalidParameterError):
-            model.predict_engine_seconds("compiled", 1_000)
+        # Engines are not priced (see the cost_model module docstring).
+        assert "engine" not in record and "engine" not in DEFAULT_MODEL
+        assert not hasattr(CostModel.default(), "engine")
 
     def test_route_choice_follows_committed_coefficients(self):
         # The route cost is linear in line entries, so the choice is
@@ -96,7 +93,6 @@ class TestCommittedModel:
         assert model.choose_route(1_000_000) == cheaper
         tied = CostModel.from_mapping(
             {
-                "engine": dict(DEFAULT_MODEL["engine"]),
                 "route": {
                     "direct_us_per_line_entry": 0.5,
                     "simulation_us_per_line_entry": 0.5,
@@ -131,16 +127,17 @@ class TestDecisionPins:
 
     @staticmethod
     def _expected_fast_engine() -> str:
-        """What the portfolio should pick past the batched crossover."""
-        from repro.local_model import kernels
-
+        """Compiled on a resolved kernel backend, vectorized otherwise."""
         return "compiled" if kernels.get_backend() is not None else "vectorized"
 
-    def test_small_instance_keeps_batched_engine(self):
+    def test_small_instance_decision(self):
         network = graphs.random_regular(32, 4, seed=1, backend="fast")
         result = color_edges(network)
         decision = result.decision
-        assert (decision.algorithm, decision.engine) == ("legal-color", "batched")
+        assert (decision.algorithm, decision.engine) == (
+            "legal-color",
+            self._expected_fast_engine(),
+        )
         assert decision.quality == "linear"
         # The route follows the committed coefficients (the two routes are
         # nearly tied on the reference machine, so the pin is model-relative).
@@ -148,29 +145,22 @@ class TestDecisionPins:
         assert decision.route == model.choose_route(
             _line_csr_entries(fast_view(network))
         )
-        assert decision.is_default() == (decision.route == "direct")
+        assert decision.is_default() == (
+            decision.engine == default_engine() and decision.route == "direct"
+        )
         assert decision.overrides == ()
         assert_legal_edge_coloring(network, result.colors)
 
-    def test_large_instance_flips_engine(self):
+    def test_large_instance_engine_follows_backend(self):
         network = graphs.random_regular(2048, 8, seed=2, backend="fast")
         result = color_graph(network, seed=1)
         decision = result.decision
         assert decision.algorithm == "luby"
         assert decision.engine == self._expected_fast_engine()
-        assert not decision.is_default()
-        assert "CSR entries" in decision.reasons["engine"]
-        predicted = decision.predicted
-        assert (
-            predicted["engine_vectorized_seconds"]
-            < predicted["engine_batched_seconds"]
-        )
+        assert decision.is_default() == (decision.engine == default_engine())
+        assert not any(key.startswith("engine") for key in decision.predicted)
         if decision.engine == "compiled":
-            assert (
-                predicted["engine_compiled_seconds"]
-                < predicted["engine_vectorized_seconds"]
-            )
-            assert decision.kernel_backend is not None
+            assert repr(decision.kernel_backend) in decision.reasons["engine"]
             assert decision.kernel_threads >= 1
         assert_legal_vertex_coloring(network, result.colors)
 
@@ -178,7 +168,6 @@ class TestDecisionPins:
         network = graphs.complete_graph(24, backend="fast")
         result = color_edges(network, budget=40.0)
         decision = result.decision
-        # L(G) is big even at n=24, so the engine leaves the batched default.
         assert decision.engine == self._expected_fast_engine()
         assert decision.quality == "superlinear"
         assert not decision.is_default()
@@ -193,12 +182,12 @@ class TestDecisionPins:
         assert len(pins) >= 3
         by_instance = {pin["instance"]: pin for pin in pins}
         small = by_instance["small-regular(n=32, Delta=4)"]
-        assert small["engine"] == "batched"
+        assert small["engine"] in ("vectorized", "compiled")
         large = next(
             pin for name, pin in by_instance.items() if name.startswith("large-")
         )
         assert large["engine"] in ("vectorized", "compiled")
-        assert not large["is_default"]
+        assert large["is_default"] == (large["engine"] == "vectorized")
         dense = by_instance["dense-complete(n=48, Delta=47)"]
         assert dense["quality"] == "superlinear" and not dense["is_default"]
 
@@ -206,8 +195,6 @@ class TestDecisionPins:
         # With no resolvable kernel backend the portfolio must not steer a
         # large instance onto the compiled engine (it would just pay kernel
         # dispatch overhead on top of the same numpy fallback).
-        from repro.local_model import kernels
-
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "none")
         kernels.reset()
         try:
@@ -224,7 +211,6 @@ class TestDecisionPins:
     def test_entry_counts_match_csr(self):
         network = graphs.random_regular(32, 4, seed=1, backend="fast")
         fast = fast_view(network)
-        assert _csr_entries(fast) == 32 * 4 + 32
         # |E| = 64, each edge has d(u)+d(v)-2 = 6 line neighbors.
         assert _line_csr_entries(fast) == 64 * 6 + 64
 
@@ -252,19 +238,21 @@ class TestFacadeContract:
             assert "pinned by caller" in decision.reasons[knob]
 
     def test_custom_cost_model_is_honored_and_recorded(self):
-        # A model that makes the vectorized engine free must flip even a
-        # tiny instance; the decision records where the model came from.
-        skewed = {k: dict(v) if isinstance(v, dict) else v for k, v in DEFAULT_MODEL.items()}
-        skewed["engine"] = {
-            "batched_us_per_entry": 1e6,
-            "vectorized_us_per_entry": 0.0,
-            "vectorized_overhead_us": 0.0,
-        }
-        skewed["rounds"] = {q: dict(DEFAULT_MODEL["rounds"][q]) for q in QUALITY_ORDER}
-        model = CostModel.from_mapping(skewed, source="unit-test")
+        # A model that makes the route the committed model rejects free must
+        # flip the route; the decision records where the model came from.
         network = graphs.random_regular(16, 4, seed=3, backend="fast")
-        result = color_graph(network, cost_model=model, seed=1)
-        assert result.decision.engine == "vectorized"
+        default_route = color_edges(network).decision.route
+        flipped = "direct" if default_route == "simulation" else "simulation"
+        skewed = {
+            "route": {
+                f"{flipped}_us_per_line_entry": 0.0,
+                f"{default_route}_us_per_line_entry": 1e6,
+            },
+            "rounds": {q: dict(DEFAULT_MODEL["rounds"][q]) for q in QUALITY_ORDER},
+        }
+        model = CostModel.from_mapping(skewed, source="unit-test")
+        result = color_edges(network, cost_model=model)
+        assert result.decision.route == flipped
         assert result.decision.model_source == "unit-test"
 
     def test_normalized_result_shape(self):

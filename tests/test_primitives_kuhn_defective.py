@@ -183,13 +183,12 @@ class TestDefectiveEdgeColoringKernel:
     """The Corollary 5.4 numpy kernel against the per-node callbacks."""
 
     def _compare(self, line, phase, initial_states=None):
-        from repro.local_model import BatchedScheduler, VectorizedScheduler
+        from repro.local_model import VectorizedScheduler
 
         reference = Scheduler(line).run(phase, initial_states=initial_states)
-        for engine_cls in (BatchedScheduler, VectorizedScheduler):
-            candidate = engine_cls(line).run(phase, initial_states=initial_states)
-            assert candidate.states == reference.states
-            assert candidate.metrics.summary() == reference.metrics.summary()
+        candidate = VectorizedScheduler(line).run(phase, initial_states=initial_states)
+        assert candidate.states == reference.states
+        assert candidate.metrics.summary() == reference.metrics.summary()
         return reference
 
     @pytest.mark.parametrize("p_prime", [2, 3, 5])

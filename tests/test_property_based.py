@@ -23,7 +23,6 @@ from repro.graphs.properties import (
     neighborhood_independence,
 )
 from repro.local_model import (
-    BatchedScheduler,
     CompiledScheduler,
     Network,
     Scheduler,
@@ -297,7 +296,7 @@ class TestFastLineGraphBuilder:
             n=line.num_nodes, b=1, p=2, Lambda=Lambda, c=2, mode="edge"
         )
         reference = Scheduler(line.to_network()).run(pipeline)
-        for engine_cls in (BatchedScheduler, VectorizedScheduler, CompiledScheduler):
+        for engine_cls in (VectorizedScheduler, CompiledScheduler):
             candidate = engine_cls(line).run(pipeline)
             assert candidate.states == reference.states
             assert candidate.metrics.summary() == reference.metrics.summary()
@@ -428,11 +427,11 @@ def _metrics_fingerprint(metrics):
     )
 
 
-FAST_ENGINE_CLASSES = (BatchedScheduler, VectorizedScheduler, CompiledScheduler)
+FAST_ENGINE_CLASSES = (VectorizedScheduler, CompiledScheduler)
 
 
 class TestFastEngineProperties:
-    """The batched, vectorized and compiled engines are indistinguishable
+    """The vectorized and compiled engines are indistinguishable
     from the reference scheduler on arbitrary random graphs -- states,
     per-phase metrics, everything."""
 
@@ -481,7 +480,7 @@ class TestFastEngineProperties:
         reference = color_edges(
             network, quality="superlinear", route="direct", engine="reference"
         )
-        for engine in ("batched", "vectorized", "compiled"):
+        for engine in ("vectorized", "compiled"):
             candidate = color_edges(
                 network, quality="superlinear", route="direct", engine=engine
             )
@@ -505,7 +504,7 @@ def runner_scenarios(draw) -> Scenario:
         n += 1
     seed = draw(st.integers(min_value=0, max_value=5))
     quality = draw(st.sampled_from(["superlinear", "linear"]))
-    engine = draw(st.sampled_from(["batched", "reference", "vectorized", "compiled"]))
+    engine = draw(st.sampled_from(["reference", "vectorized", "compiled"]))
     return Scenario.make(
         name=f"prop-{degree}-{n}-{seed}-{quality}-{engine}",
         graph=GraphSpec("random_regular", n=n, degree=degree, seed=seed),
@@ -544,7 +543,7 @@ class TestExperimentRunnerProperties:
         )
         assert renamed.cache_token() == scenario.cache_token()
         assert scenario.with_engine("reference").cache_token() != (
-            scenario.with_engine("batched").cache_token()
+            scenario.with_engine("vectorized").cache_token()
         )
 
     @SLOW
@@ -552,7 +551,7 @@ class TestExperimentRunnerProperties:
     def test_engines_agree_through_the_runner(self, scenario):
         runner = ExperimentRunner(cache_dir=None, max_workers=0)
         (reference,) = runner.run([scenario.with_engine("reference")])
-        (batched,) = runner.run([scenario.with_engine("batched")])
-        assert batched.coloring_digest == reference.coloring_digest
-        assert batched.rounds == reference.rounds
-        assert batched.messages == reference.messages
+        (vectorized,) = runner.run([scenario.with_engine("vectorized")])
+        assert vectorized.coloring_digest == reference.coloring_digest
+        assert vectorized.rounds == reference.rounds
+        assert vectorized.messages == reference.messages

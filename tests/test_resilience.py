@@ -40,7 +40,7 @@ from repro.resilience import (
 from repro.resilience.faults import _LostKernelBackend
 
 
-def scenario(tag: str, degree: int = 4, n: int = 32, engine: str = "batched") -> Scenario:
+def scenario(tag: str, degree: int = 4, n: int = 32, engine: str = "vectorized") -> Scenario:
     return Scenario.make(
         name=f"res-{tag}-d{degree}-n{n}",
         graph=GraphSpec("random_regular", n=n, degree=degree, seed=7),
@@ -455,7 +455,7 @@ class TestCacheIntegrity:
 class TestEngineDegradation:
     def test_degrade_path_is_a_chain_suffix(self):
         assert degrade_path("compiled") == DEGRADE_CHAIN
-        assert degrade_path("vectorized") == ("vectorized", "batched", "reference")
+        assert degrade_path("vectorized") == ("vectorized", "reference")
         assert degrade_path("reference") == ("reference",)
         assert degrade_path("custom") == ("custom",)
 
@@ -469,10 +469,10 @@ class TestEngineDegradation:
             return f"ran on {engine}"
 
         outcome = run_with_degradation(invoke, "compiled")
-        assert outcome.result == "ran on batched"
-        assert outcome.engine == "batched"
+        assert outcome.result == "ran on reference"
+        assert outcome.engine == "reference"
         assert outcome.degraded_from == ("compiled", "vectorized")
-        assert calls == ["compiled", "vectorized", "batched"]
+        assert calls == ["compiled", "vectorized", "reference"]
 
     def test_non_engine_failures_are_not_recoverable(self):
         def invoke(engine):

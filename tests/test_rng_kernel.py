@@ -1,4 +1,4 @@
-"""The batched string-seeded RNG kernel must be bit-exact vs `random.Random`.
+"""The vectorized string-seeded RNG kernel must be bit-exact vs `random.Random`.
 
 `StringSeededDraws` replicates CPython's version-2 string seeding (sha512
 key expansion + `init_by_array`) and the `_randbelow` rejection loop in

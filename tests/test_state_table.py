@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import InvalidParameterError, SimulationError
 from repro.local_model import (
-    BatchedScheduler,
     CompiledScheduler,
     Scheduler,
     StateTable,
@@ -205,9 +204,7 @@ class TestRunTable:
         )
         return pipeline
 
-    @pytest.mark.parametrize(
-        "engine_cls", [Scheduler, BatchedScheduler, VectorizedScheduler, CompiledScheduler]
-    )
+    @pytest.mark.parametrize("engine_cls", [Scheduler, VectorizedScheduler, CompiledScheduler])
     def test_matches_dict_run(self, small_regular, engine_cls):
         pipeline = self._pipeline(small_regular)
         reference = Scheduler(small_regular).run(pipeline)
@@ -218,9 +215,7 @@ class TestRunTable:
         assert final.to_mapping(fast.order) == reference.states
         assert metrics.summary() == reference.metrics.summary()
 
-    @pytest.mark.parametrize(
-        "engine_cls", [Scheduler, BatchedScheduler, VectorizedScheduler, CompiledScheduler]
-    )
+    @pytest.mark.parametrize("engine_cls", [Scheduler, VectorizedScheduler, CompiledScheduler])
     def test_seeded_table_matches_seeded_run(self, small_regular, engine_cls):
         fast = fast_view(small_regular)
         pipeline, _ = delta_plus_one_pipeline(
@@ -238,9 +233,7 @@ class TestRunTable:
         assert final.to_mapping(fast.order) == reference.states
         assert metrics.summary() == reference.metrics.summary()
 
-    @pytest.mark.parametrize(
-        "engine_cls", [Scheduler, BatchedScheduler, VectorizedScheduler, CompiledScheduler]
-    )
+    @pytest.mark.parametrize("engine_cls", [Scheduler, VectorizedScheduler, CompiledScheduler])
     def test_row_count_mismatch_rejected(self, small_regular, engine_cls):
         pipeline = self._pipeline(small_regular)
         with pytest.raises(SimulationError):
@@ -259,12 +252,7 @@ class TestRunTable:
 
         network = Network({})
         pipeline, _ = delta_plus_one_pipeline(n=1, degree_bound=1, output_key="c")
-        for engine_cls in (
-            Scheduler,
-            BatchedScheduler,
-            VectorizedScheduler,
-            CompiledScheduler,
-        ):
+        for engine_cls in (Scheduler, VectorizedScheduler, CompiledScheduler):
             final, metrics = engine_cls(network).run_table(pipeline, StateTable(0))
             assert final.to_dicts() == []
             assert metrics.rounds == 0
