@@ -4,8 +4,23 @@ from __future__ import annotations
 
 import pytest
 
+from alternating_engine import ALTERNATING, AlternatingScheduler
 from repro import graphs
 from repro.local_model import Network
+from repro.local_model import engine as engine_registry
+
+
+@pytest.fixture(autouse=True)
+def _register_alternating_engine(request, monkeypatch):
+    """Make the test-only ``"alternating"`` engine name resolvable.
+
+    Only tests parametrized with ``engine="alternating"`` see it, so
+    :func:`repro.local_model.available_engines` stays the shipped set
+    everywhere else.
+    """
+    callspec = getattr(request.node, "callspec", None)
+    if callspec is not None and callspec.params.get("engine") == ALTERNATING:
+        monkeypatch.setitem(engine_registry._ENGINES, ALTERNATING, AlternatingScheduler)
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import pytest
 
+from alternating_engine import ALTERNATING, AlternatingScheduler
 from repro import graphs
 from repro.baselines import luby_edge_coloring, panconesi_rizzi_edge_coloring
 from repro.core import (
@@ -44,7 +45,9 @@ from repro.primitives.color_reduction import delta_plus_one_pipeline
 from repro.primitives.kuhn_defective import defective_coloring_pipeline
 
 #: The engines whose outputs must be indistinguishable from the reference.
-FAST_ENGINES = ("vectorized", "compiled")
+#: ``"alternating"`` is the test-only vectorized engine that forces every
+#: other phase onto the reference fallback (see ``alternating_engine.py``).
+FAST_ENGINES = ("vectorized", "compiled", ALTERNATING)
 
 ENGINE_CLASSES = {
     "reference": Scheduler,
@@ -376,6 +379,23 @@ class TestVectorizedFallbackAccounting:
         assert scheduler.fallback_phase_names == ["one-shot"]
         assert result.metrics.fallback_phase_names == ["one-shot"]
 
+    def test_alternating_engine_crosses_the_fallback_boundary(self, small_regular):
+        # The test-only engine is only a meaningful equivalence witness if
+        # its runs really mix kernel phases with reference-loop phases.
+        pipeline, _ = delta_plus_one_pipeline(
+            n=small_regular.num_nodes,
+            degree_bound=small_regular.max_degree,
+            output_key="c",
+        )
+        reference = Scheduler(small_regular).run(pipeline)
+        scheduler = AlternatingScheduler(small_regular)
+        result = scheduler.run(pipeline)
+        names = [phase.name for phase in pipeline.phases]
+        assert len(names) >= 2
+        assert result.metrics.fallback_phase_names == names[::2]
+        assert scheduler.fallback_phase_names == names[::2]
+        assert result.states == reference.states
+
     def test_edge_mode_runs_vectorized(self):
         # The Corollary 5.4 edge phase has a CSR kernel (over the line-graph
         # incidence encoding): edge-mode Defective-Color must execute with
@@ -464,7 +484,9 @@ class TestEngineSelection:
             Scheduler(network).run(phase)
         return str(reference.value)
 
-    @pytest.mark.parametrize("engine_cls", [VectorizedScheduler, CompiledScheduler])
+    @pytest.mark.parametrize(
+        "engine_cls", [VectorizedScheduler, CompiledScheduler, AlternatingScheduler]
+    )
     def test_non_neighbor_message_rejected(self, triangle, engine_cls):
         from repro.exceptions import SimulationError
         from repro.local_model import SynchronousPhase
@@ -483,7 +505,9 @@ class TestEngineSelection:
             engine_cls(triangle).run(Misbehaving())
         assert str(raised.value) == expected
 
-    @pytest.mark.parametrize("engine_cls", [VectorizedScheduler, CompiledScheduler])
+    @pytest.mark.parametrize(
+        "engine_cls", [VectorizedScheduler, CompiledScheduler, AlternatingScheduler]
+    )
     def test_round_limit_enforced(self, triangle, engine_cls):
         from repro.exceptions import RoundLimitExceeded
         from repro.local_model import SynchronousPhase

@@ -1,7 +1,7 @@
 """Golden regression tests: seeded outputs are frozen under ``tests/data/``.
 
-Every fixture in :mod:`make_goldens` is executed on *all three* engines and
-compared -- full coloring, palette, round count, message count, bandwidth --
+Every fixture in :mod:`make_goldens` is executed on every engine -- the three
+shipped ones plus the test-only ``"alternating"`` engine -- and compared -- full coloring, palette, round count, message count, bandwidth --
 against its committed golden file.  A mismatch means an (intentional or not)
 behavior change: if intentional, regenerate with
 ``PYTHONPATH=src python tests/make_goldens.py`` and review the diff.
@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from alternating_engine import ALTERNATING
 from make_goldens import FIXTURES, compute_fixture, golden_path
 
 #: Fields compared one by one for a readable failure before the full diff.
@@ -29,7 +30,7 @@ SUMMARY_FIELDS = (
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
-@pytest.mark.parametrize("engine", ["reference", "vectorized", "compiled"])
+@pytest.mark.parametrize("engine", ["reference", "vectorized", "compiled", ALTERNATING])
 def test_golden_coloring(name, engine):
     path = golden_path(name)
     assert path.exists(), (

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from alternating_engine import AlternatingScheduler
 from repro.exceptions import InvalidParameterError, SimulationError
 from repro.local_model import (
     CompiledScheduler,
@@ -204,7 +205,10 @@ class TestRunTable:
         )
         return pipeline
 
-    @pytest.mark.parametrize("engine_cls", [Scheduler, VectorizedScheduler, CompiledScheduler])
+    @pytest.mark.parametrize(
+        "engine_cls",
+        [Scheduler, VectorizedScheduler, CompiledScheduler, AlternatingScheduler],
+    )
     def test_matches_dict_run(self, small_regular, engine_cls):
         pipeline = self._pipeline(small_regular)
         reference = Scheduler(small_regular).run(pipeline)
@@ -215,7 +219,10 @@ class TestRunTable:
         assert final.to_mapping(fast.order) == reference.states
         assert metrics.summary() == reference.metrics.summary()
 
-    @pytest.mark.parametrize("engine_cls", [Scheduler, VectorizedScheduler, CompiledScheduler])
+    @pytest.mark.parametrize(
+        "engine_cls",
+        [Scheduler, VectorizedScheduler, CompiledScheduler, AlternatingScheduler],
+    )
     def test_seeded_table_matches_seeded_run(self, small_regular, engine_cls):
         fast = fast_view(small_regular)
         pipeline, _ = delta_plus_one_pipeline(
@@ -233,7 +240,10 @@ class TestRunTable:
         assert final.to_mapping(fast.order) == reference.states
         assert metrics.summary() == reference.metrics.summary()
 
-    @pytest.mark.parametrize("engine_cls", [Scheduler, VectorizedScheduler, CompiledScheduler])
+    @pytest.mark.parametrize(
+        "engine_cls",
+        [Scheduler, VectorizedScheduler, CompiledScheduler, AlternatingScheduler],
+    )
     def test_row_count_mismatch_rejected(self, small_regular, engine_cls):
         pipeline = self._pipeline(small_regular)
         with pytest.raises(SimulationError):
