@@ -1,4 +1,17 @@
-"""Three execution engines compared, plus setup cost and a cached parallel sweep.
+"""The two execution engines compared, plus setup cost and a cached parallel sweep.
+
+Three configurations are timed -- the *columns* of every row:
+
+* ``"reference"``: the reference scheduler;
+* ``"numpy"``: the vectorized engine with its fused kernels turned off
+  (``kernels.force_backend(None)``), so every phase runs its numpy
+  ``vector_run``;
+* ``"kernels"``: the vectorized engine as shipped, dispatching the fused
+  kernels on the resolved backend.
+
+The gated ratios keep their historical keys: ``speedup_vectorized_over_reference``
+is reference over numpy, and ``speedup_compiled_over_vectorized`` is numpy over
+kernels (before 1.10 the kernels were a separate ``"compiled"`` engine).
 
 Five claims are demonstrated here (committed numbers in
 ``benchmarks/results/engine_speedup.md`` / ``engine_speedup.json``):
@@ -8,20 +21,20 @@ Five claims are demonstrated here (committed numbers in
    on the vectorized engine than on the reference scheduler while producing
    the *identical* coloring and identical metrics (the equivalence suite
    locks this down for the whole algorithm zoo; this benchmark re-checks it
-   on the timed instances).  The compiled
-   engine (fused kernels, ``repro.local_model.kernels``) beats vectorized
-   by >= 3x at ``n >= 100,000`` whenever a kernel backend resolves, again
-   bit-identically; its column is skipped when no backend resolves.  The
-   reference scheduler is only timed at the smallest size; at
+   on the timed instances).  The fused kernels
+   (``repro.local_model.kernels``) beat the numpy path by >= 3x at
+   ``n >= 100,000`` whenever a kernel backend resolves, again
+   bit-identically; the kernels column is skipped when no backend resolves.
+   The reference scheduler is only timed at the smallest size; at
    ``n >= 50,000`` it would take hours without adding information.
-   A thread-scaling row times the compiled engine at one kernel thread vs.
-   all available threads on the same instance.
+   A thread-scaling row times the kernels at one thread vs. all available
+   threads on the same instance.
 2. **Edge coloring at scale.**  End-to-end ``color_edges`` (Theorem 5.5
    direct route: CSR line-graph builder + the Corollary 5.4 edge kernel)
    up to ``|E| >= 10^6`` (``n = 131,072``, ``Delta = 16``; the line graph
-   ``L(G)`` has ``|E|`` nodes and ~3 * 10^7 CSR entries).  The vectorized
+   ``L(G)`` has ``|E|`` nodes and ~3 * 10^7 CSR entries).  The array-engine
    runs are asserted to execute with zero fallbacks, and the quick-mode
-   vectorized/reference ratio is CI-gated like the Legal-Color ratios.
+   numpy/reference ratio is CI-gated like the Legal-Color ratios.
 3. **Setup at array speed.**  Everything *around* the engines -- workload
    generation, CSR compilation, verification -- also runs on arrays: the
    ``backend="fast"`` generator seam plus the vectorized verification
@@ -52,6 +65,7 @@ import json
 import os
 import platform
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from common_bench import QUICK, bench_runner, print_section, run_once
@@ -70,56 +84,74 @@ SPEEDUP_SEED = 3
 #: Neighborhood-independence bound passed to Procedure Legal-Color.
 SPEEDUP_C = 5
 
-#: Whether a compiled kernel backend resolved on this machine.  Without one
-#: the compiled column would just re-time the numpy fallback plus dispatch
-#: overhead, so it is skipped (and the record says why).
-COMPILED_BACKEND = kernels.backend_name()
+#: Whether a fused-kernel backend resolved on this machine.  Without one the
+#: kernels column would just re-time the numpy column, so it is skipped (and
+#: the record says why).
+KERNEL_BACKEND = kernels.backend_name()
+
+#: Column -> the engine it runs (the numpy column turns the kernels off).
+COLUMN_ENGINES = {"reference": "reference", "numpy": "vectorized", "kernels": "vectorized"}
 
 
-def _with_compiled(engines):
-    return engines + ("compiled",) if COMPILED_BACKEND else engines
+def _with_kernels(columns):
+    return columns + ("kernels",) if KERNEL_BACKEND else columns
 
 
-#: (n, engines timed at that size).  The reference scheduler is only timed
-#: where it finishes in seconds; vectorized-vs-compiled is the interesting
+@contextmanager
+def _column(column: str):
+    """Yield the engine name for ``column``, with the kernels off for numpy."""
+    restore = (
+        kernels.force_backend(None, reason="kernels off for the numpy column")
+        if column == "numpy"
+        else None
+    )
+    try:
+        yield COLUMN_ENGINES[column]
+    finally:
+        if restore is not None:
+            restore()
+
+
+#: (n, columns timed at that size).  The reference scheduler is only timed
+#: where it finishes in seconds; numpy-vs-kernels is the interesting
 #: comparison at scale.
-#: Quick mode times the compiled ratio on its own n = 20,000 row rather
-#: than at n = 400: at tiny sizes the vectorized engine's per-round numpy
-#: overhead dominates and the compiled/vectorized ratio is large but noisy,
-#: which is exactly what a 30%-tolerance CI gate cannot sit on.
+#: Quick mode times the kernels/numpy ratio on its own n = 20,000 row rather
+#: than at n = 400: at tiny sizes the numpy path's per-round overhead
+#: dominates and the ratio is large but noisy, which is exactly what a
+#: 30%-tolerance CI gate cannot sit on.
 SPEEDUP_SIZES = (
     (
-        (400, ("reference", "vectorized")),
-        (20_000, _with_compiled(("vectorized",))),
+        (400, ("reference", "numpy")),
+        (20_000, _with_kernels(("numpy",))),
     )
     if QUICK
     else (
-        (2000, _with_compiled(("reference", "vectorized"))),
-        (50_000, _with_compiled(("vectorized",))),
-        (100_000, _with_compiled(("vectorized",))),
-        (1_000_000, _with_compiled(("vectorized",))),
+        (2000, _with_kernels(("reference", "numpy"))),
+        (50_000, _with_kernels(("numpy",))),
+        (100_000, _with_kernels(("numpy",))),
+        (1_000_000, _with_kernels(("numpy",))),
     )
 )
 
-#: Instance for the one-thread vs. all-threads compiled timing (full mode
+#: Instance for the one-thread vs. all-threads kernel timing (full mode
 #: reuses the n = 100,000 Legal-Color workload).
 THREAD_SCALING_N = 400 if QUICK else 100_000
 
-#: Edge-coloring scale column: (n, degree, engines timed).  Degrees are
+#: Edge-coloring scale column: (n, degree, columns timed).  Degrees are
 #: chosen so Delta(L) = 2 (Delta - 1) exceeds the superlinear preset's
 #: recursion threshold -- the Corollary 5.4 edge kernel actually executes.
 #: The largest full-mode instance has |E| >= 10^6 (the line graph L(G) the
-#: pipeline vertex-colors has |E| nodes); only the array engines are timed
+#: pipeline vertex-colors has |E| nodes); only the array engine is timed
 #: at scale -- the reference scheduler would take hours.
-#: Quick mode skips the compiled edge column: at |V(L)| = 1200 the runs
-#: take ~10 ms and the compiled/vectorized ratio is too noisy to CI-gate
-#: (the n = 20,000 Legal-Color row above carries the gated compiled ratio).
+#: Quick mode skips the kernels edge column: at |V(L)| = 1200 the runs
+#: take ~10 ms and the kernels/numpy ratio is too noisy to CI-gate (the
+#: n = 20,000 Legal-Color row above carries the gated kernel ratio).
 EDGE_SIZES = (
-    ((200, 12, ("reference", "vectorized")),)
+    ((200, 12, ("reference", "numpy")),)
     if QUICK
     else (
-        (20_000, 16, _with_compiled(("vectorized",))),
-        (131_072, 16, _with_compiled(("vectorized",))),
+        (20_000, 16, _with_kernels(("numpy",))),
+        (131_072, 16, _with_kernels(("numpy",))),
     )
 )
 
@@ -172,75 +204,100 @@ def _top_phases(metrics, k: int = 4) -> dict:
     return {name: round(seconds, 4) for name, seconds in ranked[:k]}
 
 
-def _timed_legal_color(network, engine: str):
-    return _timed(
-        lambda: color_vertices(network, c=SPEEDUP_C, quality="superlinear", engine=engine)
-    )
-
-
-def _timed_edge_color(network, engine: str):
-    return _timed(
-        lambda: color_edges(
-            network, quality="superlinear", route="direct", engine=engine
+def _timed_legal_color(network, column: str):
+    with _column(column) as engine:
+        return _timed(
+            lambda: color_vertices(
+                network, c=SPEEDUP_C, quality="superlinear", engine=engine
+            )
         )
-    )
 
 
-def _run_edge_size(n: int, degree: int, engines, edge_runs=None) -> dict:
-    """Time end-to-end ``color_edges`` per engine; verify identical outputs."""
+def _timed_edge_color(network, column: str):
+    with _column(column) as engine:
+        return _timed(
+            lambda: color_edges(
+                network, quality="superlinear", route="direct", engine=engine
+            )
+        )
+
+
+def _assert_array_dispatch(results, n: int, what: str) -> None:
+    """Neither array column fell back; each ran the path its label names."""
+    for column in ("numpy", "kernels"):
+        if column in results:
+            # A reference fallback would hand the wall-clock back to per-node
+            # Python.
+            fallbacks = results[column].metrics.fallback_phase_names
+            assert not fallbacks, f"{column} {what} fell back at n={n}: {fallbacks}"
+    if "numpy" in results:
+        # With the kernels off, every kernel-eligible phase ran on numpy.
+        assert results["numpy"].metrics.compiled_fallback_phase_names, (
+            f"numpy {what} dispatched no kernel-eligible phase at n={n}"
+        )
+    if "kernels" in results:
+        # With a resolved backend, every kernel-covered phase must actually
+        # dispatch to it; a numpy fallback would quietly re-time numpy.
+        fallbacks = results["kernels"].metrics.compiled_fallback_phase_names
+        assert not fallbacks, f"kernels {what} ran numpy at n={n}: {fallbacks}"
+
+
+def _speedups(row: dict, seconds: dict) -> None:
+    """Add the gated ratios of the columns present in ``seconds`` to ``row``."""
+    if "reference" in seconds and "numpy" in seconds:
+        # End-to-end ratio of the array engine's numpy path (kernels plus
+        # state marshalling between phases) over the reference scheduler.
+        row["speedup_vectorized_over_reference"] = round(
+            seconds["reference"] / max(seconds["numpy"], 1e-9), 2
+        )
+    if "numpy" in seconds and "kernels" in seconds:
+        # End-to-end ratio of the fused kernels over the numpy path.
+        row["speedup_compiled_over_vectorized"] = round(
+            seconds["numpy"] / max(seconds["kernels"], 1e-9), 2
+        )
+
+
+def _run_edge_size(n: int, degree: int, columns, edge_runs=None) -> dict:
+    """Time end-to-end ``color_edges`` per column; verify identical outputs."""
     network = graphs.random_regular(n, degree, seed=SPEEDUP_SEED)
     results = {}
     seconds = {}
-    for engine in engines:
-        results[engine], seconds[engine] = _timed_edge_color(network, engine)
-    if edge_runs is not None and "vectorized" in results:
+    for column in columns:
+        results[column], seconds[column] = _timed_edge_color(network, column)
+    if edge_runs is not None and "numpy" in results:
         # Reused by the setup-cost section so the expensive edge coloring of
         # this graph is computed exactly once per benchmark run.
-        edge_runs[(n, degree)] = (network, results["vectorized"])
+        edge_runs[(n, degree)] = (network, results["numpy"])
 
-    baseline_engine = engines[0]
-    baseline = results[baseline_engine]
-    for engine in engines[1:]:
-        assert results[engine].edge_colors == baseline.edge_colors, (
-            f"{engine} diverged from {baseline_engine} at n={n}"
+    baseline_column = columns[0]
+    baseline = results[baseline_column]
+    for column in columns[1:]:
+        assert results[column].edge_colors == baseline.edge_colors, (
+            f"{column} diverged from {baseline_column} at n={n}"
         )
-        assert results[engine].metrics.summary() == baseline.metrics.summary()
-    if "vectorized" in results:
-        # The whole edge-mode pipeline (CSR line-graph builder + Corollary
-        # 5.4 kernel + psi-selection + bottom coloring) must stay on the
-        # numpy kernels end to end.
-        fallbacks = results["vectorized"].metrics.fallback_phase_names
-        assert not fallbacks, f"vectorized edge run fell back at n={n}: {fallbacks}"
-        assert len(results["vectorized"].levels) >= 1, (
-            "edge instance too small: the Corollary 5.4 recursion never ran"
-        )
-    if "compiled" in results:
-        # With a resolved backend, every kernel-covered phase must actually
-        # dispatch to it; a numpy fallback would quietly re-time vectorized.
-        fallbacks = results["compiled"].metrics.compiled_fallback_phase_names
-        assert not fallbacks, f"compiled edge run fell back at n={n}: {fallbacks}"
+        assert results[column].metrics.summary() == baseline.metrics.summary()
+    # The whole edge-mode pipeline (CSR line-graph builder + Corollary 5.4
+    # kernel + psi-selection + bottom coloring) must stay on the array
+    # engine end to end.
+    _assert_array_dispatch(results, n, "edge run")
+    assert len(baseline.levels) >= 1, (
+        "edge instance too small: the Corollary 5.4 recursion never ran"
+    )
 
     row = {
         "n": n,
         "degree": degree,
         "edges": network.num_edges,
-        "seconds": {engine: round(seconds[engine], 4) for engine in engines},
+        "seconds": {column: round(seconds[column], 4) for column in columns},
         "rounds": baseline.metrics.rounds,
         "palette": baseline.palette,
         "levels": len(baseline.levels),
         "top_phase_seconds": {
-            engine: _top_phases(results[engine].metrics) for engine in engines
+            column: _top_phases(results[column].metrics) for column in columns
         },
         "identical_outputs": True,
     }
-    if "reference" in seconds and "vectorized" in seconds:
-        row["speedup_vectorized_over_reference"] = round(
-            seconds["reference"] / max(seconds["vectorized"], 1e-9), 2
-        )
-    if "vectorized" in seconds and "compiled" in seconds:
-        row["speedup_compiled_over_vectorized"] = round(
-            seconds["vectorized"] / max(seconds["compiled"], 1e-9), 2
-        )
+    _speedups(row, seconds)
     return row
 
 
@@ -380,8 +437,8 @@ def _sweep_scenarios():
     return scenarios
 
 
-def _run_size(n: int, engines) -> dict:
-    """Time every engine on one instance; verify bit-identical outputs."""
+def _run_size(n: int, columns) -> dict:
+    """Time every column on one instance; verify bit-identical outputs."""
     # Legacy (networkx) generation keeps the historical rows comparable; at
     # the million-node size the legacy builder alone takes tens of minutes
     # and ~4 GB, so that row generates through the fast CSR builder --
@@ -393,60 +450,38 @@ def _run_size(n: int, engines) -> dict:
     )
     results = {}
     seconds = {}
-    for engine in engines:
-        results[engine], seconds[engine] = _timed_legal_color(network, engine)
+    for column in columns:
+        results[column], seconds[column] = _timed_legal_color(network, column)
 
-    baseline_engine = engines[0]
-    baseline = results[baseline_engine]
-    for engine in engines[1:]:
-        assert results[engine].colors == baseline.colors, (
-            f"{engine} diverged from {baseline_engine} at n={n}"
+    baseline_column = columns[0]
+    baseline = results[baseline_column]
+    for column in columns[1:]:
+        assert results[column].colors == baseline.colors, (
+            f"{column} diverged from {baseline_column} at n={n}"
         )
-        assert results[engine].metrics.summary() == baseline.metrics.summary()
-    if "vectorized" in results:
-        # The whole Legal-Color pipeline must run on the numpy kernels: a
-        # single fallback would silently hand the wall-clock back to per-node
-        # Python.
-        fallbacks = results["vectorized"].metrics.fallback_phase_names
-        assert not fallbacks, f"vectorized run fell back at n={n}: {fallbacks}"
-    if "compiled" in results:
-        # With a resolved backend, every kernel-covered phase must actually
-        # dispatch to it; a numpy fallback would quietly re-time vectorized.
-        fallbacks = results["compiled"].metrics.compiled_fallback_phase_names
-        assert not fallbacks, f"compiled run fell back at n={n}: {fallbacks}"
+        assert results[column].metrics.summary() == baseline.metrics.summary()
+    _assert_array_dispatch(results, n, "run")
 
     row = {
         "n": n,
         "degree": SPEEDUP_DEGREE,
         "generator_backend": backend,
-        "seconds": {engine: round(seconds[engine], 4) for engine in engines},
+        "seconds": {column: round(seconds[column], 4) for column in columns},
         "rounds": baseline.metrics.rounds,
         "messages": baseline.metrics.messages,
         "palette": baseline.palette,
         "top_phase_seconds": {
-            engine: _top_phases(results[engine].metrics) for engine in engines
+            column: _top_phases(results[column].metrics) for column in columns
         },
         "identical_outputs": True,
     }
-    if "reference" in seconds and "vectorized" in seconds:
-        # End-to-end ratio of the fully vectorized pipeline (kernels plus
-        # driver-level marshalling) -- the quantity the columnar state store
-        # attacks; gated by benchmarks/check_regression.py.
-        row["speedup_vectorized_over_reference"] = round(
-            seconds["reference"] / max(seconds["vectorized"], 1e-9), 2
-        )
-    if "vectorized" in seconds and "compiled" in seconds:
-        # End-to-end ratio of the fused kernel backend over the numpy
-        # kernels -- the quantity the compiled engine attacks; gated by
-        # benchmarks/check_regression.py.
-        row["speedup_compiled_over_vectorized"] = round(
-            seconds["vectorized"] / max(seconds["compiled"], 1e-9), 2
-        )
+    # Both ratios are gated by benchmarks/check_regression.py.
+    _speedups(row, seconds)
     return row
 
 
 def _run_thread_scaling() -> dict:
-    """Time the compiled engine at one kernel thread vs. all available.
+    """Time the kernels column at one kernel thread vs. all available.
 
     Same instance, same backend, identical outputs asserted across thread
     counts (the kernels are written so concurrent recolorings never race on
@@ -459,19 +494,19 @@ def _run_thread_scaling() -> dict:
     available = kernels.get_num_threads()
     try:
         kernels.set_num_threads(1)
-        single_result, single_seconds = _timed_legal_color(network, "compiled")
+        single_result, single_seconds = _timed_legal_color(network, "kernels")
         kernels.set_num_threads(available)
-        multi_result, multi_seconds = _timed_legal_color(network, "compiled")
+        multi_result, multi_seconds = _timed_legal_color(network, "kernels")
     finally:
         kernels.set_num_threads(available)
     assert single_result.colors == multi_result.colors, (
-        "compiled engine output depends on the kernel thread count"
+        "kernel output depends on the kernel thread count"
     )
     assert single_result.metrics.summary() == multi_result.metrics.summary()
     return {
         "n": THREAD_SCALING_N,
         "degree": SPEEDUP_DEGREE,
-        "backend": COMPILED_BACKEND,
+        "backend": KERNEL_BACKEND,
         "available_threads": available,
         "seconds": {
             "one_thread": round(single_seconds, 4),
@@ -485,16 +520,17 @@ def _run_thread_scaling() -> dict:
 def test_engine_speedup(benchmark):
     rows = []
     backend_note = (
-        f"kernel backend '{COMPILED_BACKEND}', {kernels.get_num_threads()} thread(s)"
-        if COMPILED_BACKEND
-        else f"no kernel backend ({kernels.backend_reason()}); compiled column skipped"
+        f"kernel backend '{KERNEL_BACKEND}', {kernels.get_num_threads()} thread(s)"
+        if KERNEL_BACKEND
+        else f"no kernel backend ({kernels.backend_reason()}); kernels column skipped"
     )
     print_section(
-        "Three execution engines -- Procedure Legal-Color "
-        f"(Delta = {SPEEDUP_DEGREE}, c = {SPEEDUP_C}; {backend_note})"
+        "Reference vs. the vectorized engine, kernels off and on -- "
+        f"Procedure Legal-Color (Delta = {SPEEDUP_DEGREE}, c = {SPEEDUP_C}; "
+        f"{backend_note})"
     )
-    for n, engines in SPEEDUP_SIZES:
-        row = _run_size(n, engines)
+    for n, columns in SPEEDUP_SIZES:
+        row = _run_size(n, columns)
         rows.append(row)
 
     print(
@@ -502,10 +538,10 @@ def test_engine_speedup(benchmark):
             [
                 "n",
                 "reference (s)",
-                "vectorized (s)",
-                "compiled (s)",
-                "vec/ref",
-                "comp/vec",
+                "numpy (s)",
+                "kernels (s)",
+                "numpy/ref",
+                "kernels/numpy",
                 "rounds",
                 "palette",
             ],
@@ -513,8 +549,8 @@ def test_engine_speedup(benchmark):
                 [
                     row["n"],
                     row["seconds"].get("reference", "-"),
-                    row["seconds"].get("vectorized", "-"),
-                    row["seconds"].get("compiled", "-"),
+                    row["seconds"].get("numpy", "-"),
+                    row["seconds"].get("kernels", "-"),
                     row.get("speedup_vectorized_over_reference", "-"),
                     row.get("speedup_compiled_over_vectorized", "-"),
                     row["rounds"],
@@ -524,34 +560,34 @@ def test_engine_speedup(benchmark):
             ],
         )
     )
-    print("\nIdentical colorings and metrics across all timed engines.")
+    print("\nIdentical colorings and metrics across all timed columns.")
 
-    # Per-phase wall time at the largest size: where the compiled kernels
+    # Per-phase wall time at the largest size: where the fused kernels
     # actually win (satellite of the phase_seconds instrumentation).
     largest = rows[-1]
-    phase_engines = [e for e in ("vectorized", "compiled") if e in largest["seconds"]]
+    phase_columns = [c for c in ("numpy", "kernels") if c in largest["seconds"]]
     phase_names = sorted(
-        {name for engine in phase_engines for name in largest["top_phase_seconds"][engine]}
+        {name for column in phase_columns for name in largest["top_phase_seconds"][column]}
     )
     if phase_names:
         print(f"\nMost expensive phases at n={largest['n']} (wall seconds):")
         print(
             format_table(
-                ["phase"] + [f"{engine} (s)" for engine in phase_engines],
+                ["phase"] + [f"{column} (s)" for column in phase_columns],
                 [
                     [name]
                     + [
-                        largest["top_phase_seconds"][engine].get(name, "-")
-                        for engine in phase_engines
+                        largest["top_phase_seconds"][column].get(name, "-")
+                        for column in phase_columns
                     ]
                     for name in phase_names
                 ],
             )
         )
 
-    # The committed record claims ~500x vectorized/reference at n = 2,000
-    # and >= 3x compiled/vectorized at n >= 100,000; keep the in-test
-    # bounds looser so a loaded box does not flake.
+    # The committed record claims ~500x numpy/reference at n = 2,000 and
+    # >= 3x kernels/numpy at n >= 100,000; keep the in-test bounds looser so
+    # a loaded box does not flake.
     if not QUICK:
         for row in rows:
             if "speedup_vectorized_over_reference" in row:
@@ -562,17 +598,17 @@ def test_engine_speedup(benchmark):
             if row["n"] >= 100_000 and "speedup_compiled_over_vectorized" in row:
                 speedup = row["speedup_compiled_over_vectorized"]
                 assert speedup >= 1.5, (
-                    f"compiled engine only {speedup:.2f}x faster at n={row['n']}"
+                    f"fused kernels only {speedup:.2f}x faster at n={row['n']}"
                 )
 
     # ------------------------------------------------------------------ #
-    # Thread scaling: compiled engine, one kernel thread vs. all.
+    # Thread scaling: fused kernels, one kernel thread vs. all.
     # ------------------------------------------------------------------ #
     thread_row = None
-    if COMPILED_BACKEND:
+    if KERNEL_BACKEND:
         print_section(
-            "Compiled engine thread scaling -- one kernel thread vs. all "
-            f"available (backend '{COMPILED_BACKEND}')"
+            "Fused-kernel thread scaling -- one kernel thread vs. all "
+            f"available (backend '{KERNEL_BACKEND}')"
         )
         thread_row = _run_thread_scaling()
         print(
@@ -613,8 +649,8 @@ def test_engine_speedup(benchmark):
     )
     edge_rows = []
     edge_runs = {}
-    for n, degree, engines in EDGE_SIZES:
-        edge_rows.append(_run_edge_size(n, degree, engines, edge_runs))
+    for n, degree, columns in EDGE_SIZES:
+        edge_rows.append(_run_edge_size(n, degree, columns, edge_runs))
 
     print(
         format_table(
@@ -623,10 +659,10 @@ def test_engine_speedup(benchmark):
                 "Delta",
                 "|E| = |V(L)|",
                 "reference (s)",
-                "vectorized (s)",
-                "compiled (s)",
-                "vec/ref",
-                "comp/vec",
+                "numpy (s)",
+                "kernels (s)",
+                "numpy/ref",
+                "kernels/numpy",
                 "levels",
                 "palette",
             ],
@@ -636,8 +672,8 @@ def test_engine_speedup(benchmark):
                     row["degree"],
                     row["edges"],
                     row["seconds"].get("reference", "-"),
-                    row["seconds"].get("vectorized", "-"),
-                    row["seconds"].get("compiled", "-"),
+                    row["seconds"].get("numpy", "-"),
+                    row["seconds"].get("kernels", "-"),
                     row.get("speedup_vectorized_over_reference", "-"),
                     row.get("speedup_compiled_over_vectorized", "-"),
                     row["levels"],
@@ -648,11 +684,11 @@ def test_engine_speedup(benchmark):
         )
     )
     print(
-        "\nIdentical edge colorings and metrics across all timed engines; "
-        "zero fallbacks on every vectorized run"
+        "\nIdentical edge colorings and metrics across all timed columns; "
+        "zero reference fallbacks on every array run"
         + (
-            ", zero numpy fallbacks on every compiled run."
-            if COMPILED_BACKEND
+            ", zero numpy fallbacks on every kernels run."
+            if KERNEL_BACKEND
             else "."
         )
     )
@@ -755,8 +791,14 @@ def test_engine_speedup(benchmark):
                 "graph": f"random_regular(n, degree, seed={SPEEDUP_SEED})",
             },
             "quick": QUICK,
-            "kernel_backend": COMPILED_BACKEND,
-            "kernel_threads": kernels.get_num_threads() if COMPILED_BACKEND else 0,
+            "columns": {
+                "reference": "reference scheduler",
+                "numpy": "vectorized engine, fused kernels off",
+                "kernels": "vectorized engine, fused kernels on the resolved backend",
+            },
+            "kernel_backend": KERNEL_BACKEND,
+            "kernel_threads": kernels.get_num_threads() if KERNEL_BACKEND else 0,
+            "nproc": os.cpu_count(),
             "sizes": rows,
             "edge_sizes": edge_rows,
             "setup_sizes": setup_rows,
@@ -774,7 +816,7 @@ def test_engine_speedup(benchmark):
         out.write_text(json.dumps(record, indent=2) + "\n")
         print(f"\nRecorded results to {out}")
 
-    # Time the vectorized run once more under pytest-benchmark.
+    # Time the shipped vectorized engine once more under pytest-benchmark.
     timed_n = SPEEDUP_SIZES[0][0]
     timed_network = graphs.random_regular(timed_n, SPEEDUP_DEGREE, seed=SPEEDUP_SEED)
-    run_once(benchmark, lambda: _timed_legal_color(timed_network, "vectorized"))
+    run_once(benchmark, lambda: _timed_legal_color(timed_network, "kernels"))

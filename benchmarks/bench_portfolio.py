@@ -4,8 +4,9 @@ Two jobs in one harness (committed numbers in
 ``benchmarks/results/portfolio.json`` / ``portfolio_quick.json`` and
 ``benchmarks/results/portfolio_model.json``):
 
-1. **Baseline kernel speedup.**  The vectorized Luby kernel
-   (``StringSeededDraws`` + CSR conflict scatter) beats the per-message
+1. **Baseline kernel speedup.**  The vectorized engine's numpy Luby path
+   (``StringSeededDraws`` + CSR conflict scatter; fused kernels off, like
+   the ``"numpy"`` column of ``bench_engine_speedup.py``) beats the per-message
    reference scheduler ("legacy") by **>= 10x** at ``n = 50,000`` (headline
    row at ``Delta = 64``), with *bit-identical* colorings — asserted on
    every measured pair.  The ``speedup_luby_vectorized_over_legacy`` ratio
@@ -21,10 +22,11 @@ Two jobs in one harness (committed numbers in
    the portfolio decisions taken with the fresh model are recorded and
    sanity-asserted.
 
-3. **Portfolio regret.**  On each decision instance the engine the façade
-   picks (compiled on a resolved kernel backend, else vectorized) must run
-   within ``REGRET_BOUND`` of the faster of the two array engines, both
-   timed warm in this process.
+3. **Portfolio regret.**  On each decision instance the configuration the
+   façade runs (the vectorized engine, fused kernels on whenever a kernel
+   backend resolved) must run within ``REGRET_BOUND`` of the faster of
+   kernels on and kernels off (``kernels.force_backend(None)``), both timed
+   warm in this process.
 
 Run with::
 
@@ -64,8 +66,9 @@ LUBY_SEED = 7
 #: reference side is measured once (its seconds dwarf any jitter).
 VEC_REPEATS = 3
 
-#: The picked engine may be at most this much slower than the faster array
-#: engine on a decision instance (warm medians of REGRET_REPEATS runs).
+#: The configuration the façade runs may be at most this much slower than the
+#: faster of kernels on / off on a decision instance (warm medians of
+#: REGRET_REPEATS runs).
 REGRET_BOUND = 1.3
 REGRET_REPEATS = 5
 
@@ -87,14 +90,18 @@ def _time_luby(network, engine: str):
 
 
 def _measure_luby(n: int, degree: int) -> dict:
-    """One reference-vs-vectorized Luby pair, identical colorings asserted."""
+    """One reference-vs-numpy Luby pair, identical colorings asserted."""
     network = graphs.random_regular(n, degree, seed=LUBY_SEED, backend="fast")
     fast = fast_view(network)
     reference_seconds, reference = _time_luby(fast, "reference")
     vectorized_seconds = float("inf")
-    for _ in range(VEC_REPEATS):
-        seconds, vectorized = _time_luby(fast, "vectorized")
-        vectorized_seconds = min(vectorized_seconds, seconds)
+    restore = kernels.force_backend(None, reason="kernels off: numpy Luby path")
+    try:
+        for _ in range(VEC_REPEATS):
+            seconds, vectorized = _time_luby(fast, "vectorized")
+            vectorized_seconds = min(vectorized_seconds, seconds)
+    finally:
+        restore()
     assert reference.colors == vectorized.colors, (
         f"engines diverged on luby at n={n}, degree={degree}"
     )
@@ -170,27 +177,39 @@ def _warm_ms(run) -> float:
     return round(float(np.median(samples)) * 1e3, 3)
 
 
+def _kernels_off_ms(run) -> float:
+    """:func:`_warm_ms` of ``run`` with the fused kernels turned off."""
+    restore = kernels.force_backend(None, reason="kernels off for the regret check")
+    try:
+        return _warm_ms(run)
+    finally:
+        restore()
+
+
 def _pin(instance: str, entry_point: str, call, model: CostModel, **extra) -> dict:
     """Run ``call`` through the facade, record its decision and its regret.
 
-    The regret is the picked engine's warm time over the faster of the two
-    array engines' warm times on the same instance; it must stay within
-    ``REGRET_BOUND`` (the portfolio must not pick an engine that loses).
+    The regret is the warm time of the configuration the façade ran (kernels
+    on when a backend resolved) over the faster of kernels on and kernels off
+    on the same instance; it must stay within ``REGRET_BOUND`` (turning the
+    kernels on must not lose).
     """
     decision = call(cost_model=model).decision
     warm_ms = {
-        engine: _warm_ms(lambda: call(cost_model=model, engine=engine))
-        for engine in ("vectorized", "compiled")
+        "kernels_on": _warm_ms(lambda: call(cost_model=model)),
+        "kernels_off": _kernels_off_ms(lambda: call(cost_model=model)),
     }
-    regret = round(warm_ms[decision.engine] / min(warm_ms.values()), 2)
+    picked = "kernels_on" if decision.kernel_backend is not None else "kernels_off"
+    regret = round(warm_ms[picked] / min(warm_ms.values()), 2)
     assert regret <= REGRET_BOUND, (
-        f"{instance}: picked {decision.engine!r} runs {regret}x the fastest "
-        f"array engine ({warm_ms}); {decision.reasons['engine']}"
+        f"{instance}: {picked} runs {regret}x the faster configuration "
+        f"({warm_ms}); {decision.reasons['engine']}"
     )
     return {
         "instance": instance,
         "entry_point": entry_point,
         "engine": decision.engine,
+        "kernel_backend": decision.kernel_backend,
         "quality": decision.quality,
         "route": decision.route,
         **extra,
@@ -271,6 +290,7 @@ def test_portfolio(benchmark):
     for pin in decisions:
         print(
             f"  {pin['instance']:<40} -> engine={pin['engine']}, "
+            f"kernels={pin['kernel_backend'] or 'off'}, "
             f"quality={pin['quality']}, route={pin['route']}, "
             f"regret={pin['regret']}"
             + ("  [non-default]" if not pin["is_default"] else "")
@@ -287,6 +307,7 @@ def test_portfolio(benchmark):
                 "backend='fast')",
             },
             "quick": QUICK,
+            "nproc": os.cpu_count(),
             "sizes": luby_rows,
             "decisions": decisions,
             "python": platform.python_version(),

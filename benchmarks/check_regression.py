@@ -11,10 +11,10 @@ committed baseline (``benchmarks/results/engine_speedup_quick.json`` and
 Why ratios and not wall times: CI machines differ wildly in absolute speed,
 so comparing seconds across runners would flake constantly.  The speedup of
 one engine over another on the *same* machine in the *same* run cancels the
-machine out -- a >30% drop in ``vectorized/reference`` or
-``compiled/vectorized`` means the faster engine genuinely lost ground
-relative to the slower one, i.e. a real performance regression in the engine
-the ratio's numerator-side measures.
+machine out -- a >30% drop in ``vectorized/reference`` or in the fused
+kernels over the numpy path means the faster side genuinely lost ground
+relative to the slower one, i.e. a real performance regression in what the
+ratio's numerator-side measures.
 
 Usage::
 
@@ -48,10 +48,11 @@ SPEEDUP_KEYS = (
     "speedup_luby_vectorized_over_legacy",
     "speedup_pr_vectorized_over_reference",
     "speedup_luby_edge_vectorized_over_reference",
-    # The compiled kernel backend over the numpy kernels.  Present in
-    # a record only when a kernel backend resolved at record time; a fresh
-    # CI record that *lost* the ratio (backend stopped resolving) fails the
-    # gate, which is the point.
+    # The vectorized engine with its fused kernels on over the same engine
+    # with them off (the key predates the 1.10 fold of the "compiled"
+    # engine into "vectorized").  Present in a record only when a kernel
+    # backend resolved at record time; a fresh CI record that *lost* the
+    # ratio (backend stopped resolving) fails the gate, which is the point.
     "speedup_compiled_over_vectorized",
     # The distributed ("workdir") backend's N-worker sweep over the
     # single-worker baseline (see bench_distributed_sweep.py).  The

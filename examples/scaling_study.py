@@ -18,22 +18,26 @@ cache -- re-running this script is nearly instantaneous.  A larger sweep (and
 the crossover analysis) is produced by
 ``pytest benchmarks/bench_table1_deterministic_comparison.py --benchmark-only -s``.
 
-A second sweep times one larger instance on the reference / vectorized /
-compiled engines (identical colorings asserted) and then lets the portfolio
-facade decide, printing the decision together with the kernel backend and
-thread count it was made against.
+A second sweep times one larger instance on the reference engine and on the
+vectorized engine with its fused kernels off and on (``REPRO_KERNEL_BACKEND``
+set to ``none`` / ``auto``; identical colorings asserted), and then lets the
+portfolio facade run it, printing the engine together with the kernel backend
+and thread count it ran on.
 
 Run with:  python examples/scaling_study.py
 """
 
 from __future__ import annotations
 
+import os
 import time
+from contextlib import contextmanager
 
 import repro
 from repro import graphs
 from repro.analysis import format_table, rounds_new_superlinear, rounds_panconesi_rizzi
 from repro.experiments import ExperimentRunner, GraphSpec, Scenario, default_cache_dir
+from repro.local_model import kernels
 
 #: (row label, experiment algorithm, parameters) -- the three Table 1 columns.
 ALGORITHMS = (
@@ -49,6 +53,29 @@ N = 48
 #: visibly win, small enough to stay interactive.
 ENGINE_SWEEP_N = 4096
 ENGINE_SWEEP_DEGREE = 16
+
+#: (row label, engine, REPRO_KERNEL_BACKEND value) for the engine sweep.
+ENGINE_CONFIGS = (
+    ("reference", "reference", "none"),
+    ("vectorized, kernels off", "vectorized", "none"),
+    ("vectorized, kernels on", "vectorized", "auto"),
+)
+
+
+@contextmanager
+def kernel_backend(value: str):
+    """Run the block with ``REPRO_KERNEL_BACKEND=value`` (kernels re-resolved)."""
+    previous = os.environ.get("REPRO_KERNEL_BACKEND")
+    os.environ["REPRO_KERNEL_BACKEND"] = value
+    kernels.reset()
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ["REPRO_KERNEL_BACKEND"]
+        else:
+            os.environ["REPRO_KERNEL_BACKEND"] = previous
+        kernels.reset()
 
 
 def build_scenarios() -> list:
@@ -76,27 +103,29 @@ def build_scenarios() -> list:
 
 
 def engine_sweep() -> None:
-    """Time one instance across the engines, then show the portfolio's pick."""
+    """Time one instance across the engines, then show what the portfolio ran."""
     network = graphs.random_regular(
         ENGINE_SWEEP_N, ENGINE_SWEEP_DEGREE, seed=7, backend="fast"
     )
     rows = []
     colors = None
-    for engine in ("reference", "vectorized", "compiled"):
-        started = time.perf_counter()
-        result = repro.color_graph(network, engine=engine, seed=1)
-        elapsed = time.perf_counter() - started
+    for label, engine, backend in ENGINE_CONFIGS:
+        with kernel_backend(backend):
+            kernels.get_backend()  # resolve (load + probe) outside the clock
+            started = time.perf_counter()
+            result = repro.color_graph(network, engine=engine, seed=1)
+            elapsed = time.perf_counter() - started
         if colors is None:
             colors = result.colors
-        # The engines are bit-identical; the override only changes the clock.
+        # The configurations are bit-identical; they only change the clock.
         assert result.colors == colors
-        rows.append([engine, round(elapsed, 3), result.colors_used])
+        rows.append([label, round(elapsed, 3), result.colors_used])
     print(
         format_table(
             ["engine", "seconds", "colors"],
             rows,
             title=(
-                "One instance, three engines (random_regular "
+                "One instance, three configurations (random_regular "
                 f"n = {ENGINE_SWEEP_N}, Delta = {ENGINE_SWEEP_DEGREE})"
             ),
         )
@@ -104,7 +133,7 @@ def engine_sweep() -> None:
 
     auto = repro.color_graph(network, seed=1)
     decision = auto.decision
-    print(f"\nPortfolio decision: engine='{decision.engine}'")
+    print(f"\nPortfolio run: engine='{decision.engine}'")
     print(f"  why: {decision.reasons['engine']}")
     print(
         f"  kernel backend: {auto.kernel_backend or 'none resolved'}; "

@@ -75,9 +75,10 @@ from repro.local_model import (
     use_engine,
 )
 
-#: 1.9.0 removed the per-node engine; its name stays a deprecated alias of
-#: ``"vectorized"`` (see :func:`repro.local_model.resolve_engine`) until 1.10.
-__version__ = "1.9.0"
+#: 1.10.0 folded the fused-kernel engine into ``"vectorized"``; its former
+#: name stays a deprecated alias (see :func:`repro.local_model.resolve_engine`)
+#: until 1.11.
+__version__ = "1.10.0"
 
 __all__ = [
     "ColoringError",

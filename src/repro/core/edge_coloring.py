@@ -163,8 +163,8 @@ def color_edges(
     use_auxiliary_coloring:
         Apply the Section 4.2 auxiliary-coloring improvement.
     engine:
-        Execution engine (``"reference"`` / ``"vectorized"`` / ``"compiled"`` /
-        ``None`` for the process default; see :mod:`repro.local_model.engine`).
+        Execution engine (``"reference"`` / ``"vectorized"`` / ``None`` for
+        the process default; see :mod:`repro.local_model.engine`).
 
     Returns
     -------

@@ -175,7 +175,7 @@ def run_legal_coloring(
         ``O(Delta^2)``-coloring ``rho`` once and reuse it at every level).
     engine:
         Execution engine: ``"reference"`` (the message-at-a-time scheduler),
-        ``"vectorized"`` / ``"compiled"`` (the array engines), or ``None`` for
+        ``"vectorized"`` (the array engine), or ``None`` for
         the process default (see :mod:`repro.local_model.engine`).
 
     Returns

@@ -42,7 +42,7 @@ class RoundLimitExceeded(SimulationError):
 class EngineFailure(ReproError, RuntimeError):
     """An execution engine or kernel backend failed as *infrastructure*.
 
-    Raised when a scheduler or compiled-kernel backend breaks at construction
+    Raised when a scheduler or fused-kernel backend breaks at construction
     or mid-run for reasons unrelated to the algorithm itself (a lost shared
     library, a poisoned ctypes handle, an injected fault).  This is the
     exception class the resilience layer's engine degradation chain

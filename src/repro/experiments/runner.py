@@ -24,7 +24,7 @@ identically across backends, transparent recovery from a broken process pool
 distributed backend -- lease reaping that reassigns tasks from dead or
 partitioned workers, dead-worker replacement, and idempotent handling of
 duplicate completions (first digest-valid envelope wins).  Workers apply the
-engine degradation chain (compiled -> vectorized -> reference, see
+engine degradation chain (vectorized -> reference, see
 :mod:`repro.resilience`) when an engine fails as infrastructure, and stamp an
 integrity digest on each payload so results corrupted in transit are detected
 and retried.  A seedable :class:`~repro.resilience.FaultPlan` can be injected

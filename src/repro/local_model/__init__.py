@@ -14,16 +14,13 @@ The main entry points are:
 * :class:`~repro.local_model.scheduler.Scheduler` -- the reference engine:
   executes phases round by round and accumulates
   :class:`~repro.local_model.metrics.RunMetrics`,
-* :class:`~repro.local_model.vectorized.VectorizedScheduler` -- the
-  vectorized color-phase engine (the process default): declared pure-color
-  phases run as numpy kernels over the CSR arrays, everything else falls
-  back to the reference per-phase loop, bit-identically (select any engine
-  via :func:`~repro.local_model.engine.make_scheduler` / ``engine=``
-  arguments),
-* :class:`~repro.local_model.compiled.CompiledScheduler` -- the compiled
-  multi-core engine: the vectorized engine plus fused numba / C-extension
-  kernels (see :mod:`repro.local_model.kernels`) for the per-round hot
-  loops, with a per-phase numpy fallback,
+* :class:`~repro.local_model.vectorized.VectorizedScheduler` -- the array
+  engine (the process default): declared pure-color phases run as array
+  programs over the CSR arrays -- fused numba / C-extension kernels (see
+  :mod:`repro.local_model.kernels`) when a kernel backend resolved, numpy
+  otherwise -- and everything else falls back to the reference per-phase
+  loop, bit-identically (select either engine via
+  :func:`~repro.local_model.engine.make_scheduler` / ``engine=`` arguments),
 * :func:`~repro.local_model.line_graph_sim.simulate_on_line_graph` -- the
   Lemma 5.2 simulation of an algorithm for ``L(G)`` on the network ``G``.
 """
@@ -36,7 +33,6 @@ from repro.local_model.algorithm import (
     SynchronousPhase,
 )
 from repro.local_model import kernels
-from repro.local_model.compiled import CompiledScheduler
 from repro.local_model.engine import (
     available_engines,
     default_engine,
@@ -63,7 +59,6 @@ from repro.local_model.line_graph_sim import (
 __all__ = [
     "SILENT",
     "BroadcastPhase",
-    "CompiledScheduler",
     "FastNetwork",
     "LineGraphMeta",
     "LineGraphSimulationResult",

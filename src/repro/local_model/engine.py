@@ -1,6 +1,6 @@
-"""Engine selection: the reference scheduler and the two array engines.
+"""Engine selection: the reference scheduler and the array engine.
 
-The package ships three interchangeable execution paths for synchronous
+The package ships two interchangeable execution paths for synchronous
 phases:
 
 * ``"reference"`` -- :class:`~repro.local_model.scheduler.Scheduler`, the
@@ -10,22 +10,20 @@ phases:
 * ``"vectorized"`` -- :class:`~repro.local_model.vectorized.VectorizedScheduler`
   (the process-wide default), which executes the pure-color phases (Linial
   recoloring, the color reductions, the defective polynomial steps,
-  ``psi``-selection, the baselines) as numpy kernels over the CSR arrays and
-  runs any phase without a kernel through the reference per-phase loop.
-  Produces bit-identical states and metrics (enforced by
-  ``tests/test_engine_equivalence.py``) at a fraction of the cost.
-* ``"compiled"`` -- :class:`~repro.local_model.compiled.CompiledScheduler`,
-  the vectorized engine plus fused multi-core kernels (numba or a
-  C/OpenMP extension, see :mod:`repro.local_model.kernels`) for the per-round
-  hot loops, falling back to the numpy ``vector_run`` per phase when no
-  kernel (or no backend) exists.  Bit-identical to ``"vectorized"`` in
-  every configuration; fastest on large instances with multiple cores.
+  ``psi``-selection, the baselines) as array programs over the CSR arrays
+  and runs any phase without one through the reference per-phase loop.  The
+  per-round hot loops run as fused multi-core kernels (numba or a C/OpenMP
+  extension, see :mod:`repro.local_model.kernels`) whenever a kernel backend
+  resolved, and as numpy otherwise (``REPRO_KERNEL_BACKEND=none`` forces
+  numpy).  Produces bit-identical states and metrics in every configuration
+  (enforced by ``tests/test_engine_equivalence.py``) at a fraction of the
+  cost.
 
 Every high-level algorithm (``run_legal_coloring``, ``color_edges``, ...)
 accepts an ``engine`` argument that is resolved here; ``None`` falls back to
 the process-wide default, which can be flipped globally with
 :func:`set_default_engine` or temporarily with the :func:`use_engine` context
-manager.  The name of the removed per-node engine is still accepted for one
+manager.  The name of the former kernel engine is still accepted for one
 minor version (see :func:`resolve_engine`).
 """
 
@@ -36,7 +34,6 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Union
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.compiled import CompiledScheduler
 from repro.local_model.fast_network import FastNetwork, NetworkLike
 from repro.local_model.scheduler import Scheduler
 from repro.local_model.vectorized import VectorizedScheduler
@@ -47,7 +44,6 @@ SchedulerLike = Union[Scheduler, VectorizedScheduler]
 _ENGINES: Dict[str, Callable[..., SchedulerLike]] = {
     "reference": Scheduler,
     "vectorized": VectorizedScheduler,
-    "compiled": CompiledScheduler,
 }
 
 _default_engine: str = "vectorized"
@@ -61,15 +57,16 @@ def available_engines() -> tuple:
 def resolve_engine(engine: Optional[str] = None) -> str:
     """Validate ``engine`` and substitute the process default for ``None``.
 
-    The removed per-node engine's name resolves to ``"vectorized"`` with a
+    The former kernel engine's name resolves to ``"vectorized"`` with a
     :class:`DeprecationWarning`, so callers (and scenario cache keys) see
     the engine that actually runs.
     """
     name = _default_engine if engine is None else engine
-    if name == "batched":
+    if name == "compiled":
         warnings.warn(
-            "engine 'batched' was removed in repro 1.9 and now runs 'vectorized'; "
-            "the alias will be removed in 1.10",
+            "engine 'compiled' was folded into 'vectorized' in repro 1.10, which "
+            "runs the fused kernels whenever a kernel backend resolved; "
+            "the alias will be removed in 1.11",
             DeprecationWarning,
             stacklevel=2,
         )

@@ -1,7 +1,7 @@
-"""Fused multi-core kernels behind the ``"compiled"`` engine.
+"""Fused multi-core kernels behind the array engine.
 
-This package is a kernel-dispatch layer over the vectorized engine: for the
-hot per-round loops of the coloring pipeline (Linial recoloring, Kuhn
+This package is the kernel-dispatch layer of the ``"vectorized"`` engine: for
+the hot per-round loops of the coloring pipeline (Linial recoloring, Kuhn
 defective steps, the two palette reductions, the defective *edge* ranking,
 and the Luby round) it provides fused single-pass CSR kernels with two
 interchangeable providers --
@@ -13,20 +13,21 @@ interchangeable providers --
   numba is absent but a C toolchain exists.
 
 Neither is required: with no provider, :func:`get_backend` returns ``None``
-and the compiled engine falls through to the numpy ``vector_run`` per phase
-(counted in ``RunMetrics.compiled_fallback_phase_names``), reproducing the
-vectorized engine bit for bit.  A freshly loaded provider is *probed* --
-every kernel is run on a small adversarial graph and compared against the
-``_loops`` reference -- so a miscompiled library degrades to the fallback
-instead of corrupting colorings.
+and the engine runs the numpy ``vector_run`` of each kernel-eligible phase
+(counted in ``RunMetrics.compiled_fallback_phase_names``), bit for bit the
+same result.  A freshly loaded provider is *probed* -- every kernel is run
+on a small adversarial graph and compared against the ``_loops`` reference,
+at the thread count the kernels will use -- so a miscompiled library
+degrades to numpy instead of corrupting colorings.
 
 Environment knobs:
 
 * ``REPRO_KERNEL_BACKEND``: ``auto`` (default) | ``numba`` | ``cext`` |
-  ``none`` -- force a provider or disable dispatch outright.
+  ``none`` -- force a provider or disable dispatch outright (numpy only).
 * ``REPRO_KERNEL_THREADS``: initial thread count (see
   :func:`set_num_threads`); numba additionally respects
-  ``NUMBA_NUM_THREADS`` as its upper bound.
+  ``NUMBA_NUM_THREADS`` as its upper bound.  A child created by ``fork``
+  (the ``"process"`` sweep backend's pool workers) always runs one thread.
 """
 
 from __future__ import annotations
@@ -52,6 +53,22 @@ __all__ = [
 _RESOLVED = False
 _BACKEND = None
 _REASON = "backend not yet resolved"
+#: True in a child created by ``fork``: the parent's OpenMP thread pool does
+#: not survive the fork (libgomp deadlocks waiting for the lost pool threads
+#: at the next parallel region), so a forked child runs its kernels on one
+#: thread.
+_FORKED = False
+
+
+def _after_fork_in_child() -> None:
+    global _FORKED
+    _FORKED = True
+    if _BACKEND is not None:
+        _BACKEND.set_threads(1)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _probe_inputs():
@@ -194,6 +211,15 @@ def _resolve():
         if backend is None:
             reasons.append(f"{load.__module__}: unavailable")
             continue
+        # The probe runs at the configured thread count: it is the count the
+        # kernels will use, and spinning up the default-size thread pool
+        # only to shrink it afterwards costs every fresh process ~0.2 s.
+        threads = "1" if _FORKED else os.environ.get("REPRO_KERNEL_THREADS")
+        if threads:
+            try:
+                backend.set_threads(int(threads))
+            except ValueError:
+                pass
         try:
             healthy = _probe(backend)
         except Exception as exc:
@@ -203,12 +229,6 @@ def _resolve():
             reasons.append(f"{backend.name}: probe mismatch vs reference loops")
             continue
         _BACKEND, _REASON = backend, f"{backend.name} (probed ok)"
-        threads = os.environ.get("REPRO_KERNEL_THREADS")
-        if threads:
-            try:
-                backend.set_threads(int(threads))
-            except ValueError:
-                pass
         return
     _BACKEND = None
     _REASON = "; ".join(reasons) if reasons else "no kernel provider available"
@@ -233,10 +253,10 @@ def backend_reason() -> str:
 
 
 def set_num_threads(count: int) -> None:
-    """Set the kernel thread count (no-op without a backend)."""
+    """Set the kernel thread count (no-op without a backend; 1 after fork)."""
     backend = get_backend()
     if backend is not None:
-        backend.set_threads(count)
+        backend.set_threads(1 if _FORKED else count)
 
 
 def get_num_threads() -> int:
@@ -257,11 +277,13 @@ def force_backend(backend, reason: str = "forced") -> "callable":
     """Install ``backend`` as the resolved provider, bypassing probe/env logic.
 
     This is the seam the fault injector (and tests) use to simulate a backend
-    that breaks mid-run: install a poisoned object here and every compiled
-    scheduler constructed afterwards dispatches into it.  Returns a restore
-    callable that reinstates the previous resolution state exactly; callers
-    must invoke it (typically in a ``finally``) because pool workers are
-    long-lived and an installed backend would leak into unrelated runs.
+    that breaks mid-run: install a poisoned object here and every
+    ``"vectorized"`` scheduler constructed afterwards dispatches into it;
+    ``force_backend(None)`` turns the kernels off (numpy only) the same way.
+    Returns a restore callable that reinstates the previous resolution state
+    exactly; callers must invoke it (typically in a ``finally``) because pool
+    workers are long-lived and an installed backend would leak into
+    unrelated runs.
     """
     global _RESOLVED, _BACKEND, _REASON
     previous = (_RESOLVED, _BACKEND, _REASON)
@@ -275,7 +297,7 @@ def force_backend(backend, reason: str = "forced") -> "callable":
 
 
 def runner_for(phase):
-    """The compiled runner for ``phase``, or ``None`` (late import, no cycles)."""
+    """The fused-kernel runner for ``phase``, or ``None`` (late import, no cycles)."""
     from repro.local_model.kernels.adapters import runner_for as _runner_for
 
     return _runner_for(phase)

@@ -1,4 +1,4 @@
-"""Reference loop bodies for the fused compiled kernels.
+"""Reference loop bodies for the fused kernels.
 
 Each function here is the *semantic source of truth* for one fused kernel:
 a plain-Python loop nest over CSR arrays, written in the restricted style

@@ -3,13 +3,13 @@
 Each runner replicates the corresponding ``vector_run`` *exactly* -- same
 validation, same degenerate cases, same metric charging, same state writes
 -- swapping only the per-round array chains for one fused kernel call, so
-the compiled engine stays bit-identical to the vectorized engine (which the
-four-engine equivalence suite and the goldens enforce).
+the engine's kernel path stays bit-identical to its numpy path (which the
+equivalence suite and the goldens enforce).
 
 Runners are registered by *qualified class name*, not by class object: the
 phase modules import the scheduler stack, so importing them here would be
 circular.  Dispatch walks the phase's MRO, which keeps user subclasses of a
-registered phase on the compiled path as long as they do not override
+registered phase on the kernel path as long as they do not override
 ``vector_run`` semantics.
 """
 
@@ -36,7 +36,7 @@ _KW_ERROR = (
 
 
 def run_linial(phase, ctx: VectorContext, backend) -> None:
-    """Compiled :class:`~repro.primitives.linial.LinialColoringPhase`."""
+    """Fused :class:`~repro.primitives.linial.LinialColoringPhase`."""
     if phase.input_key is None:
         colors = ctx.unique_ids().copy()
     else:
@@ -68,7 +68,7 @@ def run_linial(phase, ctx: VectorContext, backend) -> None:
 
 
 def run_defective_step(phase, ctx: VectorContext, backend) -> None:
-    """Compiled :class:`~repro.primitives.kuhn_defective.DefectiveStepPhase`."""
+    """Fused :class:`~repro.primitives.kuhn_defective.DefectiveStepPhase`."""
     colors = ctx.column(phase.input_key)
     check_color_range(colors, phase.palette, _PALETTE_TEMPLATE)
     fast = ctx.fast
@@ -81,7 +81,7 @@ def run_defective_step(phase, ctx: VectorContext, backend) -> None:
 
 
 def run_iterative_reduction(phase, ctx: VectorContext, backend) -> None:
-    """Compiled :class:`~repro.primitives.color_reduction.IterativeColorReductionPhase`."""
+    """Fused :class:`~repro.primitives.color_reduction.IterativeColorReductionPhase`."""
     colors = ctx.column(phase.input_key)
     check_color_range(colors, phase.palette, _PALETTE_TEMPLATE)
     if phase.total_rounds == 0:
@@ -108,7 +108,7 @@ def run_iterative_reduction(phase, ctx: VectorContext, backend) -> None:
 
 
 def run_kw_reduction(phase, ctx: VectorContext, backend) -> None:
-    """Compiled :class:`~repro.primitives.color_reduction.KuhnWattenhoferReductionPhase`."""
+    """Fused :class:`~repro.primitives.color_reduction.KuhnWattenhoferReductionPhase`."""
     colors = ctx.column(phase.input_key)
     check_color_range(colors, phase.palette, _PALETTE_TEMPLATE)
     if phase.total_rounds == 0:
@@ -137,7 +137,7 @@ def run_kw_reduction(phase, ctx: VectorContext, backend) -> None:
 
 
 def run_defective_edge(phase, ctx: VectorContext, backend) -> None:
-    """Compiled :class:`~repro.primitives.kuhn_defective_edge.KuhnDefectiveEdgeColoringPhase`."""
+    """Fused :class:`~repro.primitives.kuhn_defective_edge.KuhnDefectiveEdgeColoringPhase`."""
     from repro.primitives.kuhn_defective_edge import line_meta_for
 
     fast = ctx.fast
@@ -181,7 +181,7 @@ def run_defective_edge(phase, ctx: VectorContext, backend) -> None:
 
 
 def run_luby(phase, ctx: VectorContext, backend) -> None:
-    """Compiled :class:`~repro.baselines.luby_random.LubyRandomColoringPhase`.
+    """Fused :class:`~repro.baselines.luby_random.LubyRandomColoringPhase`.
 
     The draws stay on :class:`StringSeededDraws` (hashlib cannot be
     compiled and the draw stream defines bit-identity); the four per-round
@@ -242,7 +242,7 @@ def run_luby(phase, ctx: VectorContext, backend) -> None:
     ctx.write_column("_luby_final", final)
 
 
-#: Qualified phase class name -> compiled runner.
+#: Qualified phase class name -> fused-kernel runner.
 _ADAPTERS: Dict[str, Callable] = {
     "repro.primitives.linial.LinialColoringPhase": run_linial,
     "repro.primitives.kuhn_defective.DefectiveStepPhase": run_defective_step,
@@ -254,7 +254,7 @@ _ADAPTERS: Dict[str, Callable] = {
 
 
 def runner_for(phase) -> Optional[Callable]:
-    """The registered compiled runner for ``phase`` (walks the MRO), or None."""
+    """The registered fused-kernel runner for ``phase`` (walks the MRO), or None."""
     for klass in type(phase).__mro__:
         runner = _ADAPTERS.get(f"{klass.__module__}.{klass.__qualname__}")
         if runner is not None:

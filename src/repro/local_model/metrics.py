@@ -55,9 +55,10 @@ class RunMetrics:
         is excluded from equality and from the engine-equivalence contract,
         which compares :meth:`summary` and the per-phase breakdown.
     compiled_fallback_phase_names:
-        Names of the phases the compiled engine dispatched back to the plain
-        numpy ``vector_run`` because no kernel backend was available, in
-        execution order (empty for the other engines).  Like
+        Names of the phases with a registered fused kernel that the
+        vectorized engine ran on the plain numpy ``vector_run`` because no
+        kernel backend was available, in execution order (empty for the
+        reference engine).  Like
         ``fallback_phase_names`` it is informational only and excluded from
         equality.
     phase_seconds:

@@ -31,8 +31,8 @@ normalizations are invisible to ``==`` (and therefore to the engine
 equivalence contract): int columns materialize fresh (equal) int objects, and
 interning replaces equal path tuples by one shared tuple object.
 
-The table is the *native* representation of the vectorized and compiled
-schedulers' ``run_table`` entry points (see
+The table is the *native* representation of the vectorized scheduler's
+``run_table`` entry point (see
 :meth:`repro.local_model.vectorized.VectorizedScheduler.run_table`); rows are in
 the dense node order of the :class:`~repro.local_model.fast_network.FastNetwork`
 the table travels with, and the table itself never stores node identifiers.

@@ -1,4 +1,4 @@
-"""The vectorized color-phase engine (the process-default engine).
+"""The array engine (the process-default engine).
 
 For the paper's *pure-color* phases -- Linial's set-system recoloring, the
 Kuhn-Wattenhofer block reduction, the defective polynomial steps, the
@@ -6,13 +6,16 @@ Kuhn-Wattenhofer block reduction, the defective polynomial steps, the
 colors, so the entire round is expressible as array arithmetic over the CSR
 adjacency of a :class:`~repro.local_model.fast_network.FastNetwork`.
 
-:class:`VectorizedScheduler` runs exactly those phases as numpy kernels.  A
+:class:`VectorizedScheduler` runs exactly those phases as array programs.  A
 phase opts in by setting ``supports_vectorized = True`` and implementing
 ``vector_run(ctx)``, where ``ctx`` is the :class:`VectorContext` defined
 here; any other phase runs through the reference
 :class:`~repro.local_model.scheduler.Scheduler`'s per-phase loop, so a
-pipeline may freely mix both kinds.  The contract mirrors the scalar
-callbacks bit for bit:
+pipeline may freely mix both kinds.  A phase whose class has a registered
+fused kernel (see :mod:`repro.local_model.kernels`) runs that kernel on the
+resolved backend (numba or the C/OpenMP extension) instead of its numpy
+``vector_run``; with no backend it runs the numpy path.  The contract
+mirrors the scalar callbacks bit for bit, whichever path a phase takes:
 
 * the final per-node state dictionaries must be *identical* to what the
   reference scheduler produces (including internal scratch keys);
@@ -35,6 +38,7 @@ from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import InvalidParameterError, RoundLimitExceeded, SimulationError
+from repro.local_model import kernels
 from repro.local_model.algorithm import LocalView, PhasePipeline, SynchronousPhase
 from repro.local_model.fast_network import FastNetwork, NetworkLike, fast_view
 from repro.local_model.metrics import PhaseMetrics, RunMetrics
@@ -299,7 +303,7 @@ def check_color_range(colors: np.ndarray, palette: int, template: str) -> None:
 
 
 class VectorizedScheduler:
-    """Runs declared color kernels as numpy array programs; falls back otherwise.
+    """Runs declared color kernels as array programs; falls back otherwise.
 
     The constructor and the :meth:`run` / :meth:`run_table` signatures are
     those of :class:`~repro.local_model.scheduler.Scheduler`:
@@ -326,6 +330,12 @@ class VectorizedScheduler:
     ``RunMetrics.fallback_phase_names`` -- a fully vectorized run reports an
     empty list, which is what the zero-fallback tests and the end-to-end
     benchmark assert.
+
+    The kernel backend is captured once, at construction
+    (:func:`repro.local_model.kernels.get_backend`).  A phase with a
+    registered fused kernel that runs on numpy because no backend resolved
+    is recorded per run in ``RunMetrics.compiled_fallback_phase_names``;
+    a phase with no registered kernel is not, numpy being its native path.
 
     :meth:`run_table` is the engine's native entry point: the
     :class:`~repro.local_model.state_table.StateTable` columns feed the
@@ -356,6 +366,7 @@ class VectorizedScheduler:
         #: Names of those phases, in execution order.
         self.fallback_phase_names: List[str] = []
         self._reference: Optional[Scheduler] = None
+        self._backend = kernels.get_backend()
 
     @property
     def network(self) -> Network:
@@ -496,6 +507,7 @@ class VectorizedScheduler:
         self,
         phase: SynchronousPhase,
         vector_run,
+        run_metrics: RunMetrics,
         states: Optional[List[Dict[str, Any]]] = None,
         table: Optional[StateTable] = None,
         views_provider: Optional[Callable[[], List[LocalView]]] = None,
@@ -516,15 +528,23 @@ class VectorizedScheduler:
             table=table,
             views_provider=views_provider,
         )
-        self._dispatch_vector_run(phase, vector_run, context)
+        self._dispatch_vector_run(phase, vector_run, context, run_metrics)
         return phase_metrics
 
     def _dispatch_vector_run(
-        self, phase: SynchronousPhase, vector_run, context: VectorContext
+        self, phase: SynchronousPhase, vector_run, context: VectorContext, metrics: RunMetrics
     ) -> None:
-        """Execute one vectorized phase.  The compiled engine's override
-        routes the phase to a fused kernel when one is registered."""
-        vector_run(context)
+        """Execute one vectorized phase: its fused kernel when one is
+        registered and a backend resolved, its numpy ``vector_run`` otherwise."""
+        runner = kernels.runner_for(phase)
+        if runner is None:
+            vector_run(context)
+            return
+        if self._backend is None:
+            metrics.compiled_fallback_phase_names.append(phase.name)
+            vector_run(context)
+            return
+        runner(phase, context, self._backend)
 
     def _execute(
         self,
@@ -545,7 +565,7 @@ class VectorizedScheduler:
                 self._note_fallback(phase, metrics)
             else:
                 phase_metrics = self._run_vector_phase(
-                    phase, vector_run, states=states, views_provider=views_provider
+                    phase, vector_run, metrics, states=states, views_provider=views_provider
                 )
             metrics.add_phase(phase_metrics)
             metrics.add_phase_seconds(phase_metrics.name, time.perf_counter() - started)
@@ -589,7 +609,7 @@ class VectorizedScheduler:
                     table = StateTable.from_dicts(states)
                     states = None
                 phase_metrics = self._run_vector_phase(
-                    phase, vector_run, table=table, views_provider=views_provider
+                    phase, vector_run, metrics, table=table, views_provider=views_provider
                 )
             metrics.add_phase(phase_metrics)
             metrics.add_phase_seconds(phase_metrics.name, time.perf_counter() - started)

@@ -12,9 +12,9 @@ benchmark records.
   ``log Delta + log* n``, ``(log Delta)^{1+eta} + log* n``), used to pick
   the best palette whose predicted round count fits a caller's ``budget``.
 
-The engine is not priced: the compiled engine has both the lower fixed
-cost and the lower per-entry cost of the two array engines, so the façade
-picks it whenever a kernel backend resolved and ``"vectorized"`` otherwise.
+The engine is not priced: the façade runs the process-default array
+engine, which dispatches the fused kernels whenever a kernel backend
+resolved.
 
 ``CostModel.default()`` loads the committed record when the repository
 checkout is present and falls back to the embedded snapshot of the same

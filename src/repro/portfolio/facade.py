@@ -7,14 +7,15 @@ per process), and pick
 * the **algorithm** — the paper's Legal-Color pipeline by default for
   edges (and for vertices when a neighborhood-independence bound ``c`` is
   supplied), the Luby randomized baseline for general vertex coloring;
-* the **engine** — ``"compiled"`` when a kernel backend resolved on this
-  machine, else the ``"vectorized"`` numpy kernels (compiled is the faster
-  of the two array engines at every measured size, so nothing is priced);
 * the **quality preset** — the Theorem 4.8 palette/rounds tradeoff point,
   by walking the presets from best palette to fastest until the predicted
   round count fits the caller's ``budget``;
 * the **route** — direct (Theorem 5.5) versus Lemma 5.2 simulation for
   edge coloring, by predicted cost.
+
+The engine is not chosen: an unpinned call runs the process-default engine
+(:func:`~repro.local_model.engine.default_engine`), which dispatches the
+fused kernels whenever a kernel backend resolved on this machine.
 
 Every decision can be overridden by passing the corresponding kwarg
 (``algorithm=``, ``engine=``, ``quality=``, ``route=``); overridden knobs
@@ -52,10 +53,10 @@ def _invoke_degradable(invoke, engine: str, reasons: dict):
     """Run ``invoke(engine)`` under the engine degradation chain.
 
     On an :class:`~repro.exceptions.EngineFailure` the call is retried on the
-    next bit-identical engine down the chain (compiled -> vectorized ->
-    reference).  A degradation is narrated in ``reasons["engine"]``
-    and stamped on the result's metrics, so the decision record never claims
-    an engine that did not actually produce the coloring.
+    next bit-identical engine down the chain (vectorized -> reference).  A
+    degradation is narrated in ``reasons["engine"]`` and stamped on the
+    result's metrics, so the decision record never claims an engine that did
+    not actually produce the coloring.
     """
     outcome = run_with_degradation(invoke, engine)
     if outcome.degraded:
@@ -80,16 +81,16 @@ def _line_csr_entries(fast) -> int:
     return int((degrees * degrees).sum()) - 2 * num_edges + num_edges
 
 
-def _decide_engine(override: Optional[str]):
-    """``(engine, reason)``: compiled on a resolved kernel backend, else vectorized."""
-    if override is not None:
-        return resolve_engine(override), "engine pinned by caller"
+def _engine_reason(pinned: bool) -> str:
+    """Why the run uses its engine, and whether the fused kernels are on."""
+    if pinned:
+        return "engine pinned by caller"
     backend = kernels.backend_name()
     if backend is not None:
-        return "compiled", f"fused kernels on kernel backend {backend!r}"
+        return f"process default engine; fused kernels on backend {backend!r}"
     return (
-        "vectorized",
-        f"numpy kernels: no kernel backend resolved ({kernels.backend_reason()})",
+        "process default engine; fused kernels off, no kernel backend "
+        f"resolved ({kernels.backend_reason()})"
     )
 
 
@@ -152,8 +153,7 @@ def color_graph(
     algorithm:
         ``"legal-color"`` or ``"luby"`` to bypass the algorithm choice.
     engine:
-        Execution engine override (``"reference"`` / ``"vectorized"`` /
-        ``"compiled"``).
+        Execution engine override (``"reference"`` / ``"vectorized"``).
     epsilon:
         Exponent knob forwarded to the Legal-Color presets.
     seed:
@@ -198,7 +198,8 @@ def color_graph(
             "quality presets only apply to the Legal-Color algorithm"
         )
 
-    engine, reasons["engine"] = _decide_engine(engine)
+    reasons["engine"] = _engine_reason(engine is not None)
+    engine = resolve_engine(engine)
 
     if algorithm == "legal-color":
         quality, reasons["quality"], quality_predicted = _decide_quality(
@@ -299,7 +300,8 @@ def color_edges(
                 "quality presets only apply to the Legal-Color algorithm"
             )
 
-    engine, reasons["engine"] = _decide_engine(engine)
+    reasons["engine"] = _engine_reason(engine is not None)
+    engine = resolve_engine(engine)
 
     if algorithm == "legal-color":
         delta_line = max(1, 2 * fast.max_degree - 2) if fast.max_degree else 1

@@ -22,10 +22,10 @@ class PortfolioDecision:
     holds the cost-model numbers (seconds / rounds) the choice was based
     on; ``overrides`` lists the knobs the caller pinned explicitly, which
     the portfolio passed through untouched.  ``kernel_backend`` /
-    ``kernel_threads`` record what the compiled engine would run on (the
-    resolved provider name and its thread count) — populated whether or not
-    the compiled engine was chosen, so a decision record always says *why*
-    ``"compiled"`` was or was not on the table.
+    ``kernel_threads`` record the fused-kernel backend resolved in this
+    process (provider name, or ``None`` when the array engine runs numpy)
+    and its thread count — populated whichever engine ran, so a decision
+    record always says whether the kernels were available.
 
     ``engine`` is always the engine that *actually produced* the result:
     when the resilience layer degraded the run (see

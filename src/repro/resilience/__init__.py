@@ -6,11 +6,11 @@ one machine first, where every failure mode is deterministic and testable:
 
 * :mod:`repro.resilience.faults` -- a seedable :class:`FaultPlan` /
   :class:`FaultInjector` pair that makes scenario workers crash, hang, raise,
-  corrupt their payloads, or lose their compiled-kernel backend at chosen
+  corrupt their payloads, or lose their fused-kernel backend at chosen
   sweep positions and attempts, env-propagated so process-pool runs are
   injectable;
 * :mod:`repro.resilience.degrade` -- the engine degradation chain
-  (compiled -> vectorized -> reference) that re-runs work on the
+  (vectorized -> reference) that re-runs work on the
   next bit-identical engine when one fails as infrastructure.
 
 The hardened :class:`~repro.experiments.ExperimentRunner` (retries, soft

@@ -1,12 +1,14 @@
-"""Graceful engine degradation: compiled -> vectorized -> reference.
+"""Graceful engine degradation: vectorized -> reference.
 
-All three execution engines are bit-identical by contract (enforced by the
-engine-equivalence suite), so when one of them breaks as *infrastructure* --
-a kernel backend whose shared library vanished, a poisoned ctypes handle, an
-injected fault -- the correct recovery is simply to re-run the same work on
-the next engine down the chain instead of failing the caller.  The chain is
-ordered fastest-first, so a degraded run pays a performance price, never a
-correctness one.
+Both execution engines are bit-identical by contract (enforced by the
+engine-equivalence suite), so when the array engine breaks as
+*infrastructure* -- today only through the injected ``lose_backend`` fault,
+a kernel backend that vanishes mid-run -- the correct recovery is simply to
+re-run the same work on the next engine down the chain instead of failing
+the caller.  (A kernel provider that is missing or fails its probe never
+gets this far: it resolves to no backend at load time and the array engine
+runs numpy, with no degradation.)  The chain is ordered fastest-first, so a
+degraded run pays a performance price, never a correctness one.
 
 :func:`run_with_degradation` is the single wrapper implementing this policy.
 It recovers only from :class:`~repro.exceptions.EngineFailure` (the marker
@@ -26,7 +28,7 @@ from repro.exceptions import EngineFailure
 
 #: Fastest-first fallback order.  ``"reference"`` is the end of the line: it
 #: has no kernels, no numpy fast paths, and no backend to lose.
-DEGRADE_CHAIN: Tuple[str, ...] = ("compiled", "vectorized", "reference")
+DEGRADE_CHAIN: Tuple[str, ...] = ("vectorized", "reference")
 
 
 def degrade_path(engine: str, chain: Tuple[str, ...] = DEGRADE_CHAIN) -> Tuple[str, ...]:

@@ -27,10 +27,10 @@ Fault kinds
     Complete normally but mutate the result payload *after* its integrity
     digest was computed, so the parent detects the corruption and retries.
 ``"lose_backend"``
-    Install a poisoned compiled-kernel backend whose every kernel raises
+    Install a poisoned fused-kernel backend whose every kernel raises
     :class:`~repro.exceptions.EngineFailure`, simulating a backend that
     disappears mid-run; the engine degradation chain then re-runs the
-    scenario on the next engine down.
+    scenario on ``"reference"``.
 
 Worker-level kinds (:data:`WORKER_FAULT_KINDS`) target the ``"workdir"``
 distributed backend's whole-worker failure modes; they are fired by

@@ -4,23 +4,27 @@ from __future__ import annotations
 
 import pytest
 
-from alternating_engine import ALTERNATING, AlternatingScheduler
+from alternating_engine import ALTERNATING, NUMPY, AlternatingScheduler, NumpyScheduler
 from repro import graphs
 from repro.local_model import Network
 from repro.local_model import engine as engine_registry
 
+#: The test-only engines, by the name tests parametrize ``engine`` with.
+TEST_ENGINES = {ALTERNATING: AlternatingScheduler, NUMPY: NumpyScheduler}
+
 
 @pytest.fixture(autouse=True)
-def _register_alternating_engine(request, monkeypatch):
-    """Make the test-only ``"alternating"`` engine name resolvable.
+def _register_test_engines(request, monkeypatch):
+    """Make the test-only ``"alternating"`` / ``"numpy"`` engine names resolvable.
 
-    Only tests parametrized with ``engine="alternating"`` see it, so
+    Only tests parametrized with one of those ``engine`` names see it, so
     :func:`repro.local_model.available_engines` stays the shipped set
     everywhere else.
     """
     callspec = getattr(request.node, "callspec", None)
-    if callspec is not None and callspec.params.get("engine") == ALTERNATING:
-        monkeypatch.setitem(engine_registry._ENGINES, ALTERNATING, AlternatingScheduler)
+    name = callspec.params.get("engine") if callspec is not None else None
+    if isinstance(name, str) and name in TEST_ENGINES:
+        monkeypatch.setitem(engine_registry._ENGINES, name, TEST_ENGINES[name])
 
 
 @pytest.fixture

@@ -1,26 +1,27 @@
-"""Vectorized == compiled engine == reference scheduler, bit for bit.
+"""Vectorized engine == reference scheduler, bit for bit, kernels on or off.
 
-The vectorized color-phase engine
-(:class:`repro.local_model.VectorizedScheduler`) and the compiled
-kernel-dispatch engine (:class:`repro.local_model.CompiledScheduler`) are
-only trustworthy because these tests pin them to the reference scheduler:
-for every core algorithm, over a grid of graphs and seeds, all engines must
+The array engine (:class:`repro.local_model.VectorizedScheduler`) is only
+trustworthy because these tests pin it to the reference scheduler: for
+every core algorithm, over a grid of graphs and seeds, all engines must
 produce *identical* final colorings and *identical* metrics (rounds,
 messages, total words, maximum message size -- per phase, not just in
 aggregate).  Any divergence, however small, is a bug in one of the engines.
 
-The compiled engine is additionally exercised in *both* of its
-configurations: with whatever kernel backend the machine resolves (numba or
-the C extension), and with dispatch force-disabled so every kernel-eligible
-phase takes the numpy fallback (the ``no_kernel_backend`` fixture) -- the
-results must be identical either way.
+The array engine is exercised in three cells: ``"vectorized"`` with
+whatever kernel backend the machine resolves (numba or the C extension),
+the test-only ``"numpy"`` engine with the fused kernels off so every
+kernel-eligible phase runs its numpy ``vector_run``, and the test-only
+``"alternating"`` engine that hands every other phase to the reference
+fallback loop.  The ``no_kernel_backend`` fixture additionally runs the
+shipped engine with dispatch force-disabled process-wide -- the results
+must be identical either way.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from alternating_engine import ALTERNATING, AlternatingScheduler
+from alternating_engine import ALTERNATING, NUMPY, AlternatingScheduler, NumpyScheduler
 from repro import graphs
 from repro.baselines import luby_edge_coloring, panconesi_rizzi_edge_coloring
 from repro.core import (
@@ -33,7 +34,6 @@ from repro.core import (
 from repro.core.defective_coloring import defective_color_pipeline
 from repro.graphs.line_graph import line_graph_network
 from repro.local_model import (
-    CompiledScheduler,
     Network,
     Scheduler,
     VectorizedScheduler,
@@ -45,20 +45,20 @@ from repro.primitives.color_reduction import delta_plus_one_pipeline
 from repro.primitives.kuhn_defective import defective_coloring_pipeline
 
 #: The engines whose outputs must be indistinguishable from the reference.
-#: ``"alternating"`` is the test-only vectorized engine that forces every
-#: other phase onto the reference fallback (see ``alternating_engine.py``).
-FAST_ENGINES = ("vectorized", "compiled", ALTERNATING)
+#: ``"numpy"`` and ``"alternating"`` are the test-only vectorized engines
+#: with the kernels off and with every other phase forced onto the reference
+#: fallback (see ``alternating_engine.py``).
+FAST_ENGINES = ("vectorized", NUMPY, ALTERNATING)
 
 ENGINE_CLASSES = {
     "reference": Scheduler,
     "vectorized": VectorizedScheduler,
-    "compiled": CompiledScheduler,
 }
 
 
 @pytest.fixture(name="no_kernel_backend")
 def _no_kernel_backend(monkeypatch):
-    """Force the compiled engine onto its numpy fallback for one test."""
+    """Resolve no kernel backend for one test: the engine runs numpy only."""
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "none")
     kernels.reset()
     yield
@@ -104,7 +104,7 @@ class TestSchedulerLevelEquivalence:
 
     def _compare(self, network: Network, pipeline, initial_states=None):
         reference = Scheduler(network).run(pipeline, initial_states=initial_states)
-        for engine_cls in (VectorizedScheduler, CompiledScheduler):
+        for engine_cls in (VectorizedScheduler, NumpyScheduler):
             candidate = engine_cls(network).run(
                 pipeline, initial_states=initial_states
             )
@@ -437,33 +437,39 @@ class TestEngineSelection:
         # scheduler is the opt-in auditing tool.
         from repro.local_model import available_engines, default_engine
 
-        assert available_engines() == ("compiled", "reference", "vectorized")
+        assert available_engines() == ("reference", "vectorized")
         assert default_engine() == "vectorized"
         assert type(make_scheduler(triangle)) is VectorizedScheduler
 
     def test_use_engine_context_switches_default(self, triangle):
-        with use_engine("compiled"):
-            assert isinstance(make_scheduler(triangle), CompiledScheduler)
-        assert type(make_scheduler(triangle)) is VectorizedScheduler
         with use_engine("reference"):
             assert isinstance(make_scheduler(triangle), Scheduler)
         assert type(make_scheduler(triangle)) is VectorizedScheduler
 
     def test_removed_engine_name_is_a_deprecated_alias(self, small_regular):
-        # The per-node engine is gone; its name warns and runs "vectorized",
-        # so scenario cache keys name the engine that actually ran.
+        # The kernel engine is folded into "vectorized"; its name warns and
+        # runs "vectorized", so scenario cache keys name the engine that
+        # actually ran.
+        from repro.exceptions import InvalidParameterError
         from repro.experiments import GraphSpec, Scenario
 
         baseline = color_vertices(small_regular, c=4, engine="vectorized")
         with pytest.warns(DeprecationWarning, match="vectorized"):
-            aliased = color_vertices(small_regular, c=4, engine="batched")
+            aliased = color_vertices(small_regular, c=4, engine="compiled")
         assert (aliased.color_column == baseline.color_column).all()
         assert aliased.metrics == baseline.metrics
         with pytest.warns(DeprecationWarning):
             scenario = Scenario.make(
-                "alias", GraphSpec("cycle", n=8), "legal_coloring", engine="batched"
+                "alias", GraphSpec("cycle", n=8), "legal_coloring", engine="compiled"
             )
         assert scenario.engine == "vectorized"
+        pinned = Scenario.make(
+            "alias", GraphSpec("cycle", n=8), "legal_coloring", engine="vectorized"
+        )
+        assert scenario.cache_token() == pinned.cache_token()
+        # The alias of the per-node engine removed in 1.9 is gone in 1.10.
+        with pytest.raises(InvalidParameterError, match=r"\('reference', 'vectorized'\)"):
+            color_vertices(small_regular, c=4, engine="batched")
 
     def test_unknown_engine_rejected(self, triangle):
         from repro.exceptions import InvalidParameterError
@@ -485,7 +491,7 @@ class TestEngineSelection:
         return str(reference.value)
 
     @pytest.mark.parametrize(
-        "engine_cls", [VectorizedScheduler, CompiledScheduler, AlternatingScheduler]
+        "engine_cls", [VectorizedScheduler, NumpyScheduler, AlternatingScheduler]
     )
     def test_non_neighbor_message_rejected(self, triangle, engine_cls):
         from repro.exceptions import SimulationError
@@ -506,7 +512,7 @@ class TestEngineSelection:
         assert str(raised.value) == expected
 
     @pytest.mark.parametrize(
-        "engine_cls", [VectorizedScheduler, CompiledScheduler, AlternatingScheduler]
+        "engine_cls", [VectorizedScheduler, NumpyScheduler, AlternatingScheduler]
     )
     def test_round_limit_enforced(self, triangle, engine_cls):
         from repro.exceptions import RoundLimitExceeded
@@ -560,25 +566,24 @@ class TestEngineSelection:
         )
 
 
-class TestCompiledEngineDispatch:
-    """Compiled-engine specifics: backend resolution and fallback accounting."""
+class TestKernelDispatch:
+    """Fused-kernel specifics: backend resolution and fallback accounting."""
 
-    def test_zero_compiled_fallbacks_with_backend(self, small_regular):
+    def test_zero_kernel_fallbacks_with_backend(self, small_regular):
         if kernels.get_backend() is None:
             pytest.skip(f"no kernel backend: {kernels.backend_reason()}")
-        scheduler = CompiledScheduler(small_regular)
-        assert scheduler.kernel_backend_name in ("numba", "cext")
-        result = color_vertices(small_regular, c=4, engine="compiled")
+        assert VectorizedScheduler(small_regular)._backend is kernels.get_backend()
+        assert kernels.backend_name() in ("numba", "cext")
+        result = color_vertices(small_regular, c=4, engine="vectorized")
         assert result.metrics.compiled_fallback_phase_names == []
         assert result.metrics.fallback_phase_names == []
 
     def test_backend_absent_counts_fallbacks_and_matches(
         self, small_regular, no_kernel_backend
     ):
-        scheduler = CompiledScheduler(small_regular)
-        assert scheduler.kernel_backend_name is None
-        baseline = color_vertices(small_regular, c=4, engine="vectorized")
-        result = color_vertices(small_regular, c=4, engine="compiled")
+        assert VectorizedScheduler(small_regular)._backend is None
+        baseline = color_vertices(small_regular, c=4, engine="reference")
+        result = color_vertices(small_regular, c=4, engine="vectorized")
         assert result.colors == baseline.colors
         assert metrics_fingerprint(result.metrics) == metrics_fingerprint(
             baseline.metrics
@@ -587,12 +592,23 @@ class TestCompiledEngineDispatch:
         assert result.metrics.compiled_fallback_phase_names
         assert result.metrics.fallback_phase_names == []
 
+    def test_numpy_engine_counts_fallbacks_per_run(self, small_regular):
+        # The per-run list is not cumulative: a second run on the same
+        # scheduler reports exactly the same kernel-eligible phases.
+        pipeline, _ = delta_plus_one_pipeline(
+            n=small_regular.num_nodes, degree_bound=small_regular.max_degree
+        )
+        scheduler = NumpyScheduler(small_regular)
+        first = scheduler.run(pipeline).metrics.compiled_fallback_phase_names
+        second = scheduler.run(pipeline).metrics.compiled_fallback_phase_names
+        assert first and first == second
+
     def test_backend_absent_end_to_end_reference_identity(
         self, grid_network, no_kernel_backend
     ):
         c = max(1, grid_network.max_degree)
         reference = color_vertices(grid_network, c=c, engine="reference")
-        candidate = color_vertices(grid_network, c=c, engine="compiled")
+        candidate = color_vertices(grid_network, c=c, engine="vectorized")
         assert candidate.colors == reference.colors
         assert metrics_fingerprint(candidate.metrics) == metrics_fingerprint(
             reference.metrics
@@ -601,7 +617,7 @@ class TestCompiledEngineDispatch:
     def test_backend_absent_luby_matches(self, no_kernel_backend):
         network = graphs.random_regular(18, 4, seed=6)
         reference = luby_edge_coloring(network, seed=3, engine="reference")
-        candidate = luby_edge_coloring(network, seed=3, engine="compiled")
+        candidate = luby_edge_coloring(network, seed=3, engine="vectorized")
         assert candidate.edge_colors == reference.edge_colors
         assert metrics_fingerprint(candidate.metrics) == metrics_fingerprint(
             reference.metrics

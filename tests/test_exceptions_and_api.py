@@ -46,7 +46,7 @@ class TestExceptionHierarchy:
 
 class TestPublicApi:
     def test_version_string(self):
-        assert repro.__version__ == "1.9.0"
+        assert repro.__version__ == "1.10.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:

@@ -454,8 +454,8 @@ class TestSpoolDataclassProtocol:
             attempt=0,
             worker="w1",
             payload=payload,
-            engine_used="vectorized",
-            degraded_from=("compiled",),
+            engine_used="reference",
+            degraded_from=("vectorized",),
             integrity=payload_digest(payload),
         )
 

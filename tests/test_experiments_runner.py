@@ -241,9 +241,9 @@ class TestEngineCacheKeys:
     def test_tokens_differ_per_engine(self):
         tokens = {
             legal_scenario(engine=engine).cache_token()
-            for engine in ("reference", "vectorized", "compiled")
+            for engine in ("reference", "vectorized")
         }
-        assert len(tokens) == 3
+        assert len(tokens) == 2
 
     def test_engine_none_resolves_to_concrete_default(self):
         from repro.local_model import default_engine, use_engine
@@ -251,13 +251,13 @@ class TestEngineCacheKeys:
         scenario = legal_scenario(engine=None)
         assert scenario.engine == default_engine()
         assert scenario.key()["engine"] == default_engine()
-        with use_engine("compiled"):
+        with use_engine("reference"):
             pinned = legal_scenario(engine=None)
-        assert pinned.engine == "compiled"
+        assert pinned.engine == "reference"
         # The resolution happened at construction time: the token does not
         # change when the ambient default changes afterwards.
-        with use_engine("reference"):
-            assert pinned.cache_token() == pinned.with_engine("compiled").cache_token()
+        with use_engine("vectorized"):
+            assert pinned.cache_token() == pinned.with_engine("reference").cache_token()
 
     def test_with_engine_none_resolves_to_concrete_default(self):
         from repro.local_model import default_engine

@@ -1,10 +1,12 @@
 """Golden regression tests: seeded outputs are frozen under ``tests/data/``.
 
-Every fixture in :mod:`make_goldens` is executed on every engine -- the three
-shipped ones plus the test-only ``"alternating"`` engine -- and compared -- full coloring, palette, round count, message count, bandwidth --
-against its committed golden file.  A mismatch means an (intentional or not)
-behavior change: if intentional, regenerate with
-``PYTHONPATH=src python tests/make_goldens.py`` and review the diff.
+Every fixture in :mod:`make_goldens` is executed on every engine -- the two
+shipped ones plus the test-only ``"numpy"`` (kernels off) and
+``"alternating"`` engines -- and compared -- full coloring, palette, round
+count, message count, bandwidth -- against its committed golden file.  A
+mismatch means an (intentional or not) behavior change: if intentional,
+regenerate with ``PYTHONPATH=src python tests/make_goldens.py`` and review
+the diff.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 
 import pytest
 
-from alternating_engine import ALTERNATING
+from alternating_engine import ALTERNATING, NUMPY
 from make_goldens import FIXTURES, compute_fixture, golden_path
 
 #: Fields compared one by one for a readable failure before the full diff.
@@ -30,7 +32,7 @@ SUMMARY_FIELDS = (
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
-@pytest.mark.parametrize("engine", ["reference", "vectorized", "compiled", ALTERNATING])
+@pytest.mark.parametrize("engine", ["reference", "vectorized", NUMPY, ALTERNATING])
 def test_golden_coloring(name, engine):
     path = golden_path(name)
     assert path.exists(), (

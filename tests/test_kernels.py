@@ -13,6 +13,10 @@ a corrupt backend, adapter registry lookups) is covered at the bottom.
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -333,6 +337,64 @@ class TestResolutionMachinery:
             assert kernels.backend_name() is None
         finally:
             kernels.reset()
+
+    def test_thread_env_applies_before_probe(self, backend, monkeypatch):
+        # REPRO_KERNEL_THREADS takes effect before the probe, so the probe
+        # runs at the thread count the kernels will use -- and still runs.
+        available = kernels.get_num_threads()
+        real_probe = kernels._probe
+        probed = []
+
+        def recording_probe(candidate):
+            probed.append((candidate.name, candidate.max_threads()))
+            return real_probe(candidate)
+
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend.name)
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "1")
+        monkeypatch.setattr(kernels, "_probe", recording_probe)
+        kernels.reset()
+        try:
+            assert kernels.backend_name() == backend.name
+            assert kernels.get_num_threads() == 1
+            assert probed == [(backend.name, 1)]
+        finally:
+            kernels.set_num_threads(available)
+            kernels.reset()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_kernels_single_threaded(self):
+        # The parent's OpenMP thread pool does not survive fork; a child that
+        # dispatched at the parent's thread count would deadlock (the
+        # "process" sweep backend forks its pool workers).
+        from repro import graphs
+        from repro.core import color_vertices
+
+        network = graphs.random_regular(200, 8, seed=1)
+        expected = color_vertices(network, c=4).color_column  # warm the pool
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            try:
+                result = color_vertices(network, c=4)
+                ok = kernels.get_num_threads() == 1 and np.array_equal(
+                    result.color_column, expected
+                )
+                os.write(write_end, b"ok" if ok else b"mismatch")
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, _ = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child deadlocked in a kernel")
+        with os.fdopen(read_end, "rb") as reader:
+            assert reader.read() == b"ok"
 
     def test_c_backend_artifact_cache_reloads(self):
         if not any(b.name == "cext" for b in BACKENDS):

@@ -125,19 +125,11 @@ class TestCommittedModel:
 class TestDecisionPins:
     """The benchmarked instance classes and the decisions they must get."""
 
-    @staticmethod
-    def _expected_fast_engine() -> str:
-        """Compiled on a resolved kernel backend, vectorized otherwise."""
-        return "compiled" if kernels.get_backend() is not None else "vectorized"
-
     def test_small_instance_decision(self):
         network = graphs.random_regular(32, 4, seed=1, backend="fast")
         result = color_edges(network)
         decision = result.decision
-        assert (decision.algorithm, decision.engine) == (
-            "legal-color",
-            self._expected_fast_engine(),
-        )
+        assert (decision.algorithm, decision.engine) == ("legal-color", "vectorized")
         assert decision.quality == "linear"
         # The route follows the committed coefficients (the two routes are
         # nearly tied on the reference machine, so the pin is model-relative).
@@ -151,24 +143,26 @@ class TestDecisionPins:
         assert decision.overrides == ()
         assert_legal_edge_coloring(network, result.colors)
 
-    def test_large_instance_engine_follows_backend(self):
+    def test_large_instance_runs_default_engine(self):
         network = graphs.random_regular(2048, 8, seed=2, backend="fast")
         result = color_graph(network, seed=1)
         decision = result.decision
         assert decision.algorithm == "luby"
-        assert decision.engine == self._expected_fast_engine()
-        assert decision.is_default() == (decision.engine == default_engine())
+        assert decision.engine == default_engine() == "vectorized"
+        assert decision.is_default()
         assert not any(key.startswith("engine") for key in decision.predicted)
-        if decision.engine == "compiled":
+        assert decision.kernel_backend == kernels.backend_name()
+        assert decision.kernel_threads >= 1
+        if decision.kernel_backend is not None:
+            assert "fused kernels on" in decision.reasons["engine"]
             assert repr(decision.kernel_backend) in decision.reasons["engine"]
-            assert decision.kernel_threads >= 1
         assert_legal_vertex_coloring(network, result.colors)
 
     def test_dense_instance_with_budget_degrades_quality(self):
         network = graphs.complete_graph(24, backend="fast")
         result = color_edges(network, budget=40.0)
         decision = result.decision
-        assert decision.engine == self._expected_fast_engine()
+        assert decision.engine == "vectorized"
         assert decision.quality == "superlinear"
         assert not decision.is_default()
         assert "infeasible" in decision.reasons["quality"]
@@ -191,10 +185,10 @@ class TestDecisionPins:
         dense = by_instance["dense-complete(n=48, Delta=47)"]
         assert dense["quality"] == "superlinear" and not dense["is_default"]
 
-    def test_backend_absent_degrades_to_vectorized(self, monkeypatch):
-        # With no resolvable kernel backend the portfolio must not steer a
-        # large instance onto the compiled engine (it would just pay kernel
-        # dispatch overhead on top of the same numpy fallback).
+    def test_backend_absent_runs_numpy_without_degrading(self, monkeypatch):
+        # With no resolvable kernel backend the same engine runs numpy: the
+        # decision names the engine, says the kernels are off and why, and
+        # nothing is recorded as a degradation.
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "none")
         kernels.reset()
         try:
@@ -202,8 +196,11 @@ class TestDecisionPins:
             result = color_graph(network, seed=1)
             decision = result.decision
             assert decision.engine == "vectorized"
+            assert decision.degraded_from == ()
             assert decision.kernel_backend is None
+            assert "fused kernels off" in decision.reasons["engine"]
             assert "no kernel backend" in decision.reasons["engine"]
+            assert kernels.backend_reason() in decision.reasons["engine"]
         finally:
             monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
             kernels.reset()

@@ -14,7 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
+import pytest
 
+from alternating_engine import NUMPY, NumpyScheduler
 from repro.core import color_edges, run_defective_color
 from repro.experiments import ExperimentRunner, GraphSpec, Scenario
 from repro.graphs.line_graph import line_graph_network
@@ -23,7 +25,6 @@ from repro.graphs.properties import (
     neighborhood_independence,
 )
 from repro.local_model import (
-    CompiledScheduler,
     Network,
     Scheduler,
     VectorizedScheduler,
@@ -296,7 +297,7 @@ class TestFastLineGraphBuilder:
             n=line.num_nodes, b=1, p=2, Lambda=Lambda, c=2, mode="edge"
         )
         reference = Scheduler(line.to_network()).run(pipeline)
-        for engine_cls in (VectorizedScheduler, CompiledScheduler):
+        for engine_cls in (VectorizedScheduler, NumpyScheduler):
             candidate = engine_cls(line).run(pipeline)
             assert candidate.states == reference.states
             assert candidate.metrics.summary() == reference.metrics.summary()
@@ -427,11 +428,11 @@ def _metrics_fingerprint(metrics):
     )
 
 
-FAST_ENGINE_CLASSES = (VectorizedScheduler, CompiledScheduler)
+FAST_ENGINE_CLASSES = (VectorizedScheduler, NumpyScheduler)
 
 
 class TestFastEngineProperties:
-    """The vectorized and compiled engines are indistinguishable
+    """The vectorized engine, kernels on and off, is indistinguishable
     from the reference scheduler on arbitrary random graphs -- states,
     per-phase metrics, everything."""
 
@@ -470,9 +471,10 @@ class TestFastEngineProperties:
                 reference.metrics
             )
 
+    @pytest.mark.parametrize("engine", ["vectorized", NUMPY])
     @SLOW
     @given(random_edge_lists(max_nodes=8))
-    def test_edge_coloring_is_engine_independent(self, data):
+    def test_edge_coloring_is_engine_independent(self, engine, data):
         n, edges = data
         network = build_network(n, edges)
         if network.num_edges == 0:
@@ -480,14 +482,13 @@ class TestFastEngineProperties:
         reference = color_edges(
             network, quality="superlinear", route="direct", engine="reference"
         )
-        for engine in ("vectorized", "compiled"):
-            candidate = color_edges(
-                network, quality="superlinear", route="direct", engine=engine
-            )
-            assert candidate.edge_colors == reference.edge_colors
-            assert _metrics_fingerprint(candidate.metrics) == _metrics_fingerprint(
-                reference.metrics
-            )
+        candidate = color_edges(
+            network, quality="superlinear", route="direct", engine=engine
+        )
+        assert candidate.edge_colors == reference.edge_colors
+        assert _metrics_fingerprint(candidate.metrics) == _metrics_fingerprint(
+            reference.metrics
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -504,7 +505,7 @@ def runner_scenarios(draw) -> Scenario:
         n += 1
     seed = draw(st.integers(min_value=0, max_value=5))
     quality = draw(st.sampled_from(["superlinear", "linear"]))
-    engine = draw(st.sampled_from(["reference", "vectorized", "compiled"]))
+    engine = draw(st.sampled_from(["reference", "vectorized"]))
     return Scenario.make(
         name=f"prop-{degree}-{n}-{seed}-{quality}-{engine}",
         graph=GraphSpec("random_regular", n=n, degree=degree, seed=seed),

@@ -272,7 +272,7 @@ class TestPoolFaultMatrix:
             fault_plan=plan,
         )
         results = runner.run(scenarios)
-        assert [r.status for r in results] == ["ok"] * 6
+        assert [r.status for r in results] == ["ok"] * 6, [(r.status, r.error) for r in results]
         assert [stable(r.payload) for r in results] == reference
         assert runner.last_stats.retries > 0
         assert runner.last_stats.pool_rebuilds >= 1
@@ -454,8 +454,8 @@ class TestCacheIntegrity:
 
 class TestEngineDegradation:
     def test_degrade_path_is_a_chain_suffix(self):
-        assert degrade_path("compiled") == DEGRADE_CHAIN
-        assert degrade_path("vectorized") == ("vectorized", "reference")
+        assert DEGRADE_CHAIN == ("vectorized", "reference")
+        assert degrade_path("vectorized") == DEGRADE_CHAIN
         assert degrade_path("reference") == ("reference",)
         assert degrade_path("custom") == ("custom",)
 
@@ -464,22 +464,22 @@ class TestEngineDegradation:
 
         def invoke(engine):
             calls.append(engine)
-            if engine in ("compiled", "vectorized"):
+            if engine == "vectorized":
                 raise EngineFailure(f"{engine} is broken")
             return f"ran on {engine}"
 
-        outcome = run_with_degradation(invoke, "compiled")
+        outcome = run_with_degradation(invoke, "vectorized")
         assert outcome.result == "ran on reference"
         assert outcome.engine == "reference"
-        assert outcome.degraded_from == ("compiled", "vectorized")
-        assert calls == ["compiled", "vectorized", "reference"]
+        assert outcome.degraded_from == ("vectorized",)
+        assert calls == ["vectorized", "reference"]
 
     def test_non_engine_failures_are_not_recoverable(self):
         def invoke(engine):
             raise ValueError("an algorithm bug, not infrastructure")
 
         with pytest.raises(ValueError):
-            run_with_degradation(invoke, "compiled")
+            run_with_degradation(invoke, "vectorized")
 
     def test_whole_chain_failing_raises_engine_failure(self):
         def invoke(engine):
@@ -490,21 +490,21 @@ class TestEngineDegradation:
         assert "reference" in str(excinfo.value)
 
     def test_lost_backend_degrades_scenario_to_next_engine(self, tmp_path):
-        s = scenario("degrade", n=24, engine="compiled")
-        reference = fault_free([s.with_engine("vectorized")])
+        s = scenario("degrade", n=24, engine="vectorized")
+        healthy = fault_free([s])
         plan = FaultPlan((FaultSpec(index=0, kind="lose_backend", attempts=1),))
         runner = ExperimentRunner(
             cache_dir=tmp_path, max_workers=0, retries=0, fault_plan=plan
         )
         (result,) = runner.run([s])
         assert result.ok
-        assert result.engine_used == "vectorized"
-        assert result.degraded_from == ("compiled",)
+        assert result.engine_used == "reference"
+        assert result.degraded_from == ("vectorized",)
         assert runner.last_stats.degraded == 1
         # Bit-identical engines: the degraded payload matches a healthy
         # vectorized run (the engine name is part of the scenario, not the
         # payload).
-        assert stable(result.payload) == reference[0]
+        assert stable(result.payload) == healthy[0]
 
     def test_portfolio_surfaces_degradation(self):
         graph = GraphSpec("random_regular", n=24, degree=4, seed=3).build()
@@ -514,13 +514,13 @@ class TestEngineDegradation:
             _LostKernelBackend(), reason="injected for test"
         )
         try:
-            result = color_graph(graph, c=2, engine="compiled")
+            result = color_graph(graph, c=2, engine="vectorized")
         finally:
             restore()
-        assert result.decision.engine == "vectorized"
-        assert result.decision.degraded_from == ("compiled",)
+        assert result.decision.engine == "reference"
+        assert result.decision.degraded_from == ("vectorized",)
         assert "degraded" in result.decision.reasons["engine"]
-        assert "compiled" in result.metrics.degraded_engine_names
+        assert "vectorized" in result.metrics.degraded_engine_names
         # The coloring is still a valid result (engines are bit-identical).
         healthy = color_graph(graph, c=2, engine="vectorized")
         assert result.colors == healthy.colors

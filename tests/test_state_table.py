@@ -15,10 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from alternating_engine import AlternatingScheduler
+from alternating_engine import AlternatingScheduler, NumpyScheduler
 from repro.exceptions import InvalidParameterError, SimulationError
 from repro.local_model import (
-    CompiledScheduler,
     Scheduler,
     StateTable,
     VectorizedScheduler,
@@ -207,7 +206,7 @@ class TestRunTable:
 
     @pytest.mark.parametrize(
         "engine_cls",
-        [Scheduler, VectorizedScheduler, CompiledScheduler, AlternatingScheduler],
+        [Scheduler, VectorizedScheduler, NumpyScheduler, AlternatingScheduler],
     )
     def test_matches_dict_run(self, small_regular, engine_cls):
         pipeline = self._pipeline(small_regular)
@@ -221,7 +220,7 @@ class TestRunTable:
 
     @pytest.mark.parametrize(
         "engine_cls",
-        [Scheduler, VectorizedScheduler, CompiledScheduler, AlternatingScheduler],
+        [Scheduler, VectorizedScheduler, NumpyScheduler, AlternatingScheduler],
     )
     def test_seeded_table_matches_seeded_run(self, small_regular, engine_cls):
         fast = fast_view(small_regular)
@@ -242,7 +241,7 @@ class TestRunTable:
 
     @pytest.mark.parametrize(
         "engine_cls",
-        [Scheduler, VectorizedScheduler, CompiledScheduler, AlternatingScheduler],
+        [Scheduler, VectorizedScheduler, NumpyScheduler, AlternatingScheduler],
     )
     def test_row_count_mismatch_rejected(self, small_regular, engine_cls):
         pipeline = self._pipeline(small_regular)
@@ -262,7 +261,7 @@ class TestRunTable:
 
         network = Network({})
         pipeline, _ = delta_plus_one_pipeline(n=1, degree_bound=1, output_key="c")
-        for engine_cls in (Scheduler, VectorizedScheduler, CompiledScheduler):
+        for engine_cls in (Scheduler, VectorizedScheduler, NumpyScheduler):
             final, metrics = engine_cls(network).run_table(pipeline, StateTable(0))
             assert final.to_dicts() == []
             assert metrics.rounds == 0
