@@ -50,6 +50,7 @@ from repro.exceptions import InvalidParameterError
 from repro.experiments.cache import ResultCache
 from repro.experiments.scenarios import ALGORITHMS, Scenario, payload_digest
 from repro.experiments.spool import Spool, SpoolConfig
+from repro.local_model import kernels
 from repro.resilience.degrade import run_with_degradation
 from repro.resilience.faults import FAULT_PLAN_ENV, FaultInjector, FaultPlan
 
@@ -694,6 +695,11 @@ class WorkdirExecutor(ExecutorBackend):
             env[FAULT_PLAN_ENV] = request.fault_plan.to_json()
         else:
             env.pop(FAULT_PLAN_ENV, None)
+        # Workers run the fused kernels on one thread unless told otherwise,
+        # like the "process" backend's forked workers: the worker processes
+        # already fill the cores.  At the OpenMP default they oversubscribe
+        # them (a 48-scenario sweep on 2 workers and 2 cores ran ~6x slower).
+        env.setdefault(kernels.THREADS_ENV, "1")
         return subprocess.Popen(
             [
                 sys.executable,

@@ -27,7 +27,9 @@ Environment knobs:
 * ``REPRO_KERNEL_THREADS``: initial thread count (see
   :func:`set_num_threads`); numba additionally respects
   ``NUMBA_NUM_THREADS`` as its upper bound.  A child created by ``fork``
-  (the ``"process"`` sweep backend's pool workers) always runs one thread.
+  (the ``"process"`` sweep backend's pool workers) always runs one thread,
+  and the ``"workdir"`` sweep backend starts its workers with this variable
+  defaulted to 1.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ __all__ = [
     "reset",
     "runner_for",
 ]
+
+#: Environment variable holding the initial kernel thread count.
+THREADS_ENV = "REPRO_KERNEL_THREADS"
 
 _RESOLVED = False
 _BACKEND = None
@@ -214,7 +219,7 @@ def _resolve():
         # The probe runs at the configured thread count: it is the count the
         # kernels will use, and spinning up the default-size thread pool
         # only to shrink it afterwards costs every fresh process ~0.2 s.
-        threads = "1" if _FORKED else os.environ.get("REPRO_KERNEL_THREADS")
+        threads = "1" if _FORKED else os.environ.get(THREADS_ENV)
         if threads:
             try:
                 backend.set_threads(int(threads))

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,8 @@ from repro.experiments import (
     make_executor,
     payload_digest,
 )
+from repro.experiments import executors
+from repro.local_model import kernels
 from repro.resilience import FaultPlan, FaultSpec
 
 #: Timing knobs shrunk for tests: a dead worker is detected within ~1s.
@@ -440,6 +443,30 @@ class TestWorkerCLI:
         finally:
             code = worker.wait(timeout=30)
         assert code == 0  # clean exit on the coordinator's stop sentinel
+
+
+class TestWorkerLaunchEnvironment:
+    """The environment the ``"workdir"`` backend starts its workers with."""
+
+    def launch_env(self, monkeypatch, tmp_path) -> dict:
+        launched = {}
+
+        def record_popen(args, env, **kwargs):
+            launched.update(env)
+
+        monkeypatch.setattr(executors.subprocess, "Popen", record_popen)
+        make_executor("workdir")._launch_worker(
+            SimpleNamespace(fault_plan=None), tmp_path, "w-1"
+        )
+        return launched
+
+    def test_workers_default_to_one_kernel_thread(self, monkeypatch, tmp_path):
+        monkeypatch.delenv(kernels.THREADS_ENV, raising=False)
+        assert self.launch_env(monkeypatch, tmp_path)[kernels.THREADS_ENV] == "1"
+
+    def test_explicit_kernel_thread_count_is_kept(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(kernels.THREADS_ENV, "2")
+        assert self.launch_env(monkeypatch, tmp_path)[kernels.THREADS_ENV] == "2"
 
 
 class TestSpoolDataclassProtocol:
