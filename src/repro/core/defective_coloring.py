@@ -143,6 +143,9 @@ class PsiSelectionPhase(BroadcastPhase):
 
         if state.get("_psi_announced"):
             state[self.output_key] = state["_psi_selected"]
+            # The selection scratch is dead once the vertex halts; dropping
+            # it keeps the final state free of per-vertex containers.
+            del state["_psi_waiting"], state["_psi_counts"]
             return True
         return False
 
@@ -183,7 +186,6 @@ class PsiSelectionPhase(BroadcastPhase):
 
         depth = np.zeros(n, dtype=np.int64)
         psi = np.zeros(n, dtype=np.int64)
-        counts = np.zeros((n, p), dtype=np.int64)
         for value in np.unique(phi):
             batch = np.flatnonzero(phi == value)
             local_rows, neighbors = ctx.gather_neighbors(batch)
@@ -196,7 +198,6 @@ class PsiSelectionPhase(BroadcastPhase):
             batch_counts = np.bincount(
                 sources * p + (psi[lower_neighbors] - 1), minlength=batch.size * p
             ).reshape(batch.size, p)
-            counts[batch] = batch_counts
             psi[batch] = np.argmin(batch_counts, axis=1) + 1
 
         nnz = len(fast.indices)
@@ -209,8 +210,6 @@ class PsiSelectionPhase(BroadcastPhase):
         ctx.write_column(self.output_key, psi)
         ctx.write_column("_psi_selected", psi)
         ctx.write_value("_psi_announced", True)
-        ctx.write_objects("_psi_counts", counts.tolist())
-        ctx.write_objects("_psi_waiting", [set() for _ in range(n)])
 
 
 def defective_color_pipeline(

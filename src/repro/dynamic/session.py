@@ -9,7 +9,7 @@ array-native steps:
 
 1. **CSR patch** -- :meth:`FastNetwork.with_edge_updates` delta-merges the
    removal/insertion keys into the existing (sorted) directed-entry keys and
-   rebuilds the CSR with one bincount/cumsum pass; no full symmetrize-lexsort
+   rebuilds the CSR with one bincount/cumsum pass; no full symmetrize-and-sort
    of the edge set, no legacy ``Network``.
 2. **Conflict detection** -- deletions never create conflicts and the
    pre-state is legal, so every monochromatic edge of the patched graph is a

@@ -36,12 +36,27 @@ Three further capabilities sit on top of the CSR representation:
 from __future__ import annotations
 
 from array import array
+from functools import partial
+from math import isqrt
 from typing import Dict, Hashable, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.local_model.network import Network
+
+
+#: The largest node count whose packed ``row * n + col`` keys fit ``int64``.
+MAX_PACKED_NODES = isqrt(2**63 - 1)
+
+
+def check_packable(count: int, name: str) -> None:
+    """Reject ``count`` if ``index * count + index`` keys could overflow ``int64``."""
+    if count > MAX_PACKED_NODES:
+        raise InvalidParameterError(
+            f"{name} = {count} exceeds {MAX_PACKED_NODES}, the largest count "
+            "whose packed int64 pair keys cannot overflow"
+        )
 
 
 def _int64_view(values: array) -> np.ndarray:
@@ -56,8 +71,11 @@ def _int64_array(values: np.ndarray) -> array:
 
     The byte-cast memoryview keeps this a single copy (``tobytes`` would
     materialize an intermediate ``bytes`` object -- a second full copy on
-    every derived-view construction).
+    every derived-view construction).  An ``array('q')`` that a builder
+    filled in place through :func:`_int64_view` is returned as-is.
     """
+    if isinstance(values, array):
+        return values
     out = array("q")
     out.frombytes(memoryview(np.ascontiguousarray(values, dtype=np.int64)).cast("B"))
     return out
@@ -181,15 +199,21 @@ class FastNetwork:
             API boundary, or never).  Defaults to the dense indices
             themselves.
 
-        The CSR arrays are assembled by symmetrizing, lexsorting and
-        deduplicating the endpoint arrays; since dense order is unique-id
-        order, the resulting neighbor order is exactly the unique-id order a
-        legacy :class:`Network` would produce, and :meth:`to_network`
-        materializes the identical network on demand.
+        The CSR arrays are assembled by packing both orientations of every
+        edge into one ``int64`` key ``row * n + col``, sorting and
+        deduplicating the keys and decoding ``rows, cols`` with one
+        ``divmod``; since dense order is unique-id order, the resulting
+        neighbor order is exactly the unique-id order a legacy
+        :class:`Network` would produce, and :meth:`to_network` materializes
+        the identical network on demand.  The sorted keys and rows seed the
+        view's :attr:`edge_keys_np` / :attr:`rows_np` caches.  ``num_nodes``
+        above :data:`MAX_PACKED_NODES` is rejected, since the keys would
+        overflow ``int64``.
         """
         n = int(num_nodes)
         if n < 0:
             raise InvalidParameterError("num_nodes must be non-negative")
+        check_packable(n, "num_nodes")
         u = np.ascontiguousarray(u, dtype=np.int64).ravel()
         v = np.ascontiguousarray(v, dtype=np.int64).ravel()
         if u.shape != v.shape:
@@ -213,20 +237,26 @@ class FastNetwork:
                 f"self-loop at node {node!r} is not allowed in the LOCAL model"
             )
 
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        if len(rows):
-            by_row_then_col = np.lexsort((cols, rows))
-            rows = rows[by_row_then_col]
-            cols = cols[by_row_then_col]
-            fresh = np.empty(len(rows), dtype=bool)
+        # Both orientations' keys, written in place (no full-size temporaries).
+        m = len(u)
+        keys = np.empty(2 * m, dtype=np.int64)
+        np.multiply(u, n, out=keys[:m])
+        keys[:m] += v
+        np.multiply(v, n, out=keys[m:])
+        keys[m:] += u
+        keys.sort()
+        if m:
+            fresh = np.empty(len(keys), dtype=bool)
             fresh[0] = True
-            fresh[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            rows, cols = rows[fresh], cols[fresh]
+            np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+            keys = keys[fresh]
+        rows, cols = np.divmod(keys, n)
         degrees = np.bincount(rows, minlength=n).astype(np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        return cls._from_parts(indptr, cols, degrees, n, unique_ids, order)
+        built = cls._from_parts(indptr, cols, degrees, n, unique_ids, order)
+        built._np_cache.update(edge_keys=keys, rows=rows)
+        return built
 
     @classmethod
     def from_csr(
@@ -317,7 +347,7 @@ class FastNetwork:
         built._index_of = None  # interned lazily from `order` on first use
         if order is None:
             built._order = None
-            built._order_provider = lambda: range(built.num_nodes)
+            built._order_provider = partial(range, built.num_nodes)
         elif callable(order):
             built._order = None
             built._order_provider = order
@@ -572,10 +602,11 @@ class FastNetwork:
         ``int64`` endpoint arrays, the surviving directed entries are
         delta-merged with the (sorted) insertion keys, and the new CSR is
         rebuilt from incrementally patched degrees with one cumsum -- never
-        a full symmetrize-lexsort over the whole edge set, so a small batch
+        a full symmetrize-and-sort over the whole edge set, so a small batch
         costs ``O(|E| + |batch| log |batch|)`` straight array work (the
-        ``O(|E|)`` part is just masks/inserts on the key and index columns;
-        no per-entry key decode, no full bincount).
+        ``O(|E|)`` part is a mask and an insert on the key column plus the
+        index column's recovery as ``keys - rows * n``; no division, no full
+        bincount).
 
         Semantics match :meth:`from_edge_array`: the node set is fixed,
         duplicate insertions (and insertions of already-present edges) are
@@ -604,11 +635,13 @@ class FastNetwork:
                 "in the LOCAL model"
             )
 
-        # The key and index columns are patched in lockstep, and degrees are
-        # adjusted per affected row -- the only O(|E|) work is the masks and
-        # inserts themselves; rows are never decoded out of the keys.
+        # Only the key column is patched, and degrees are adjusted per
+        # affected row.  The index column is then recovered as
+        # keys - rows * n (a subtraction, not a division), written straight
+        # into the view's storage.  A patch thus allocates one full-size
+        # temporary (the masked keys) instead of three, which in a long
+        # session is what decides how often the heap must grow again.
         keys = self.edge_keys_np
-        cols = self.indices_np
         degrees = self.degrees_np.copy()
         if len(remove_u):
             drop = np.unique(
@@ -622,7 +655,6 @@ class FastNetwork:
                 keep[hit] = False
                 np.subtract.at(degrees, keys[hit] // n, 1)
                 keys = keys[keep]
-                cols = cols[keep]
         if len(add_u):
             fresh = np.unique(
                 np.concatenate([add_u * n + add_v, add_v * n + add_u])
@@ -635,13 +667,17 @@ class FastNetwork:
             if len(fresh):
                 where = np.searchsorted(keys, fresh)
                 keys = np.insert(keys, where, fresh)
-                cols = np.insert(cols, where, fresh % n)
                 np.add.at(degrees, fresh // n, 1)
 
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        derived = self._sibling(indptr, cols, degrees, None)
-        derived._np_cache["edge_keys"] = keys
+        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        indices = array("q", [0]) * len(keys)
+        cols = _int64_view(indices)
+        np.multiply(rows, n, out=cols)
+        np.subtract(keys, cols, out=cols)
+        derived = self._sibling(indptr, indices, degrees, None)
+        derived._np_cache.update(edge_keys=keys, rows=rows)
         return derived
 
     def induced(self, node_mask: np.ndarray) -> Tuple["FastNetwork", np.ndarray]:

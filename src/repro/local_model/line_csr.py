@@ -18,7 +18,8 @@ of ``G``'s :class:`~repro.local_model.fast_network.FastNetwork` view:
   unique ids ``1..|E|`` fall out of one boolean mask;
 * the adjacency of ``L(G)`` (edges sharing an endpoint) is the per-vertex
   clique over ``G``'s incidence lists, expanded with ``repeat``/modular
-  arithmetic and finished with a single lexsort -- no Python per-edge work;
+  arithmetic and finished with one sort of the packed ``int64`` keys
+  ``src * |E| + dst`` -- no Python per-edge work;
 * the edge-tuple node identifiers are *not* materialized: the returned
   :class:`FastNetwork` carries a provider that interns them on first use at
   the API boundary (result extraction, reference-engine audits), exactly
@@ -48,7 +49,12 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.local_model.fast_network import FastNetwork, _int64_array, fast_view
+from repro.local_model.fast_network import (
+    FastNetwork,
+    _int64_array,
+    check_packable,
+    fast_view,
+)
 
 #: Raised whenever a line-graph operation meets non-edge-tuple identifiers
 #: (kept identical to the scalar phase's ``initialize`` message).
@@ -131,10 +137,17 @@ def build_line_graph_fast(network) -> FastNetwork:
     edge-tuple node identifiers behind a lazy provider; its unique ids are
     ``1..|E|`` in lexicographic pair-key order, matching the legacy
     constructor bit for bit (``to_network()`` materializes the identical
-    :class:`Network`).
+    :class:`Network`).  Raises
+    :class:`~repro.exceptions.InvalidParameterError` when ``G``'s node or
+    edge count exceeds
+    :data:`~repro.local_model.fast_network.MAX_PACKED_NODES`.
     """
     g = fast_view(network)
     n = g.num_nodes
+    # Pair keys over G's nodes (scaled by n + 1 in sort_rank) and over its
+    # edges must fit int64; reject before any allocation.
+    check_packable(n + 1, "num_nodes + 1")
+    check_packable(g.num_edges, "the edge count")
     rows, cols = g.rows_np, g.indices_np
 
     # Canonical edges: dense order is unique-id order, so the CSR entries
@@ -173,10 +186,14 @@ def build_line_graph_fast(network) -> FastNetwork:
     keep = src != dst
     src, dst = src[keep], dst[keep]
     del keep
-    by_src_then_dst = np.lexsort((dst, src))
-    line_indices = dst[by_src_then_dst]
     line_degrees = np.bincount(src, minlength=m)
-    del src, dst, by_src_then_dst
+    # One packed key per directed line-graph edge, built in place so peak
+    # memory does not grow; sorting it orders entries by (src, dst).
+    src *= m
+    src += dst
+    del dst
+    src.sort()
+    line_indices = np.remainder(src, m, out=src)
     line_indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(line_degrees, out=line_indptr[1:])
 

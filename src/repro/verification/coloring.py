@@ -45,6 +45,8 @@ EdgeKey = Tuple[Hashable, Hashable]
 ColorsLike = Union[Mapping[Hashable, int], np.ndarray]
 NetworkLike = Union[Network, FastNetwork]
 
+_INT64_MAX = 2**63 - 1
+
 
 def palette_size(colors: ColorsLike) -> int:
     """Number of distinct colors used by a coloring."""
@@ -241,6 +243,27 @@ def _edge_column(fast: FastNetwork, edge_colors: ColorsLike) -> np.ndarray:
     return column
 
 
+def _group_color_keys(
+    groups: np.ndarray, colors: np.ndarray, num_groups: int
+) -> np.ndarray:
+    """One ``int64`` key per entry that sorts by ``(group, color)``.
+
+    The key is ``group * span + (color - min_color)``.  Colors whose range
+    would overflow that product are first replaced by their dense ranks,
+    which preserves their order and equality.
+    """
+    if not len(colors):
+        return np.zeros(0, dtype=np.int64)
+    low = int(colors.min())
+    span = int(colors.max()) - low + 1
+    if num_groups * span > _INT64_MAX:
+        _, colors = np.unique(colors, return_inverse=True)
+        low, span = 0, int(colors.max()) + 1
+    keys = groups * span
+    keys += colors - low
+    return keys
+
+
 def _entry_edge_ids(fast: FastNetwork) -> np.ndarray:
     """Canonical-edge index of every directed CSR entry."""
     rows, cols = fast.rows_np, fast.indices_np
@@ -280,14 +303,13 @@ def is_legal_edge_coloring(
         fast = fast_view(network)
         column = _edge_column(fast, edge_colors)
         edge_u, edge_v = _canonical_edge_endpoints(fast)
-        endpoints = np.concatenate([edge_u, edge_v])
-        entry_colors = np.concatenate([column, column])
-        if not len(endpoints):
-            return True
-        by_endpoint_color = np.lexsort((entry_colors, endpoints))
-        ep = endpoints[by_endpoint_color]
-        ec = entry_colors[by_endpoint_color]
-        return not bool(((ep[1:] == ep[:-1]) & (ec[1:] == ec[:-1])).any())
+        keys = _group_color_keys(
+            np.concatenate([edge_u, edge_v]),
+            np.concatenate([column, column]),
+            fast.num_nodes,
+        )
+        keys.sort()
+        return not bool((keys[1:] == keys[:-1]).any())
     return _find_edge_violation(network, edge_colors) is None
 
 
@@ -317,18 +339,13 @@ def edge_coloring_defect(network: NetworkLike, edge_colors: ColorsLike) -> int:
         if num_edges == 0:
             return 0
         edge_u, edge_v = _canonical_edge_endpoints(fast)
-        endpoints = np.concatenate([edge_u, edge_v])
-        entry_colors = np.concatenate([column, column])
-        by_group = np.lexsort((entry_colors, endpoints))
-        ep = endpoints[by_group]
-        ec = entry_colors[by_group]
-        boundary = np.empty(len(ep), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (ep[1:] != ep[:-1]) | (ec[1:] != ec[:-1])
-        starts = np.flatnonzero(boundary)
-        sizes = np.diff(np.append(starts, len(ep)))
-        group_size = np.empty(len(ep), dtype=np.int64)
-        group_size[by_group] = np.repeat(sizes, sizes)
+        keys = _group_color_keys(
+            np.concatenate([edge_u, edge_v]),
+            np.concatenate([column, column]),
+            fast.num_nodes,
+        )
+        _, group, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+        group_size = sizes[group]
         # Incident same-colored edges of edge e: its color's multiplicity at
         # each endpoint, minus e itself at each.
         defects = (group_size[:num_edges] - 1) + (group_size[num_edges:] - 1)
@@ -355,21 +372,20 @@ def _find_edge_violation_arrays(
 
     The mapping scan walks nodes in dense order and each node's neighbors in
     CSR order, reporting the first incident edge whose color was already seen
-    at that node.  Sorting the CSR entries by (row, color) with a stable
-    tertiary key on the entry index makes every such "repeat" entry adjacent
-    to the first occurrence of its (row, color) group; the scan's answer is
-    the repeat entry with the smallest global CSR index.
+    at that node.  A stable sort of the packed (row, color) keys keeps the
+    entry index as the tie-break, which makes every such "repeat" entry
+    adjacent to the first occurrence of its (row, color) group; the scan's
+    answer is the repeat entry with the smallest global CSR index.
     """
     rows = fast.rows_np
-    if not len(rows):
-        return None
     entry_colors = column[_entry_edge_ids(fast)]
-    by_row_color = np.lexsort((np.arange(len(rows)), entry_colors, rows))
-    r_sorted = rows[by_row_color]
-    c_sorted = entry_colors[by_row_color]
-    repeat = (r_sorted[1:] == r_sorted[:-1]) & (c_sorted[1:] == c_sorted[:-1])
-    if not repeat.any():
+    keys = _group_color_keys(rows, entry_colors, fast.num_nodes)
+    ascending = np.sort(keys)
+    if not (ascending[1:] == ascending[:-1]).any():
         return None
+    by_row_color = np.argsort(keys, kind="stable")
+    keys = keys[by_row_color]
+    repeat = keys[1:] == keys[:-1]
     candidates = np.flatnonzero(repeat) + 1  # positions in the sorted arrays
     winner = int(candidates[np.argmin(by_row_color[candidates])])
     first = winner
@@ -377,10 +393,11 @@ def _find_edge_violation_arrays(
         first -= 1
     order = fast.order
     cols = fast.indices_np
-    node = order[int(r_sorted[winner])]
+    entry = by_row_color[winner]
+    node = order[int(rows[entry])]
     seen_neighbor = order[int(cols[by_row_color[first]])]
-    repeat_neighbor = order[int(cols[by_row_color[winner]])]
-    return ((node, seen_neighbor), (node, repeat_neighbor), int(c_sorted[winner]))
+    repeat_neighbor = order[int(cols[entry])]
+    return ((node, seen_neighbor), (node, repeat_neighbor), int(entry_colors[entry]))
 
 
 def _find_edge_violation(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro import graphs
 from repro.core.defective_coloring import PsiSelectionPhase
-from repro.local_model import Network, Scheduler
+from repro.local_model import Network, Scheduler, VectorizedScheduler
 
 
 def run_psi(network, phi, p):
@@ -73,3 +73,17 @@ class TestPsiSelection:
         first = Scheduler(small_regular).run(first_phase, initial_states=states)
         second = Scheduler(small_regular).run(second_phase, initial_states=first.states)
         assert all(value in {1, 2, 3} for value in second.extract("psi_b").values())
+
+    def test_halted_states_hold_no_selection_scratch(self, small_regular):
+        # The waiting set and the per-color counts are dead once a vertex
+        # halts: the reference run drops them, and the vectorized run (which
+        # never materializes them) ends in the identical states.
+        phi = {node: small_regular.unique_id(node) % 5 + 1 for node in small_regular.nodes()}
+        phase = PsiSelectionPhase(p=3, phi_key="phi", phi_palette=5)
+        states = {node: {"phi": phi[node]} for node in small_regular.nodes()}
+        reference = Scheduler(small_regular).run(phase, initial_states=states)
+        for state in reference.states.values():
+            assert "_psi_waiting" not in state
+            assert "_psi_counts" not in state
+        vectorized = VectorizedScheduler(small_regular).run(phase, initial_states=states)
+        assert vectorized.states == reference.states

@@ -113,6 +113,9 @@ class TestDifferentialChurn:
                 )
                 assert list(session.network.indptr) == list(rebuilt.indptr)
                 assert list(session.network.indices) == list(rebuilt.indices)
+                # Both builders seed the key and row caches; they must agree.
+                assert np.array_equal(session.network.rows_np, rebuilt.rows_np)
+                assert np.array_equal(session.network.edge_keys_np, rebuilt.edge_keys_np)
             assert isinstance(report, UpdateReport)
 
 
