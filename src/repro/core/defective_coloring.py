@@ -178,6 +178,10 @@ class PsiSelectionPhase(BroadcastPhase):
         vertex broadcasts its ``phi`` once (round 1, a 2-word dict) and its
         ``psi`` once (its announcement round, a 2-word dict), which yields
         the exact message metrics.
+
+        This is the kernels-off path: with a kernel backend the engine runs
+        the same walk as one fused ``psi_select`` kernel instead
+        (:func:`repro.local_model.kernels.adapters.run_psi_selection`).
         """
         fast = ctx.fast
         n = fast.num_nodes
@@ -199,8 +203,17 @@ class PsiSelectionPhase(BroadcastPhase):
                 sources * p + (psi[lower_neighbors] - 1), minlength=batch.size * p
             ).reshape(batch.size, p)
             psi[batch] = np.argmin(batch_counts, axis=1) + 1
+        self.finish_vector_run(ctx, psi, depth)
 
-        nnz = len(fast.indices)
+    def finish_vector_run(
+        self, ctx: VectorContext, psi: np.ndarray, depth: np.ndarray
+    ) -> None:
+        """Charge the closed-form metrics and write the selection columns.
+
+        Shared by :meth:`vector_run` and the fused kernel runner, so both
+        paths account and store exactly the same thing.
+        """
+        nnz = len(ctx.fast.indices)
         ctx.charge(
             rounds=int(depth.max()) + 2,
             messages=2 * nnz,

@@ -20,7 +20,11 @@ is exactly the "invoke recursively on each subgraph in parallel" step of the
 paper, and the measured rounds of that pass equal the parallel time of the
 level.  Every vertex carries its recursion *path* (the sequence of
 ``psi``-colors it received so far); two vertices are in the same current
-subgraph exactly when their paths are equal.
+subgraph exactly when their paths are equal.  Level 0 runs on the input
+graph itself (every path is still empty); each later level, and the bottom,
+drops from the *previous level's* view the edges whose endpoints' paths now
+differ.  Paths only refine, so this is the same CSR as filtering the whole
+graph, at the cost of the previous level's surviving edges only.
 
 Node state lives in a :class:`~repro.local_model.state_table.StateTable`
 throughout: the paths are one interned path-id column (so the per-level
@@ -238,16 +242,21 @@ def run_legal_coloring(
 
     # ------------------------------------------------------------------ #
     # Recursion levels (executed iteratively; all subgraphs of a level run in
-    # parallel on the path-filtered CSR view of the network).
+    # parallel on the path-filtered CSR view of the network).  Paths only
+    # refine, so each level filters the previous level's view: an edge the
+    # previous level dropped joins different paths, and stays dropped.
     # ------------------------------------------------------------------ #
     levels: List[LevelTrace] = []
     current_bound = degree_bound
     level = 0
+    # Level 0 runs on the input view itself: every path is still ().
+    view = fast
     while current_bound > params.threshold:
         if params.b * params.p > current_bound or params.p < 2:
             break  # Parameters no longer valid at this degree scale; bottom out.
 
-        filtered = fast.filtered_by_labels(table.path_ids("_path"))
+        if level:
+            view = view.filtered_by_labels(table.path_ids("_path"))
         psi_key = f"_psi_{level}"
         pipeline, info = defective_color_pipeline(
             n=fast.num_nodes,
@@ -261,7 +270,7 @@ def run_legal_coloring(
             class_key="_path",
             output_key=psi_key,
         )
-        table, level_metrics = make_scheduler(filtered, engine=engine).run_table(
+        table, level_metrics = make_scheduler(view, engine=engine).run_table(
             pipeline, table
         )
         metrics.merge(level_metrics)
@@ -276,7 +285,7 @@ def run_legal_coloring(
                 phi_palette=info.phi_palette,
                 next_degree_bound=next_bound,
                 num_subgraphs=table.num_paths("_path"),
-                max_subgraph_degree=filtered.max_degree,
+                max_subgraph_degree=view.max_degree,
                 rounds=level_metrics.rounds,
             )
         )
@@ -290,8 +299,9 @@ def run_legal_coloring(
     # ------------------------------------------------------------------ #
     # Bottom level: a legal (Lambda + 1)-coloring of every remaining subgraph.
     # ------------------------------------------------------------------ #
-    bottom_filtered = fast.filtered_by_labels(table.path_ids("_path"))
-    bottom_bound = max(current_bound, bottom_filtered.max_degree)
+    if levels:
+        view = view.filtered_by_labels(table.path_ids("_path"))
+    bottom_bound = max(current_bound, view.max_degree)
     bottom_target = bottom_bound + 1
     bottom_pipeline, _ = delta_plus_one_pipeline(
         n=fast.num_nodes,
@@ -301,7 +311,7 @@ def run_legal_coloring(
         output_key="_bottom_color",
         target=bottom_target,
     )
-    table, bottom_metrics = make_scheduler(bottom_filtered, engine=engine).run_table(
+    table, bottom_metrics = make_scheduler(view, engine=engine).run_table(
         bottom_pipeline, table
     )
     metrics.merge(bottom_metrics)

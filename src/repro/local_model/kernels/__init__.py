@@ -3,8 +3,9 @@
 This package is the kernel-dispatch layer of the ``"vectorized"`` engine: for
 the hot per-round loops of the coloring pipeline (Linial recoloring, Kuhn
 defective steps, the two palette reductions, the defective *edge* ranking,
-and the Luby round) it provides fused single-pass CSR kernels with two
-interchangeable providers --
+the Luby round, and the psi re-coloring of Procedure Defective-Color -- the
+one kernel that is sequential by design) it provides fused single-pass CSR
+kernels with two interchangeable providers --
 
 * **numba** (``_numba_backend``): ``@njit(parallel=True, cache=True)`` over
   the reference loops in ``_loops.py``; preferred when numba imports.
@@ -179,6 +180,25 @@ def _probe(backend) -> bool:
     _loops.luby_resolve(undecided, indptr, indices, candidate, expected_taken, expected)
     backend.luby_resolve(undecided, indptr, indices, candidate, expected_taken, actual)
     checks.append(np.array_equal(expected, actual))
+
+    # A depth-2 chain 0 < 1 < 2 and an equal-phi edge (2, 3) that must not count.
+    phi = np.array([1, 2, 3, 3, 5, 1, 2], dtype=np.int64)
+    order = np.argsort(phi, kind="stable")
+    expected_psi, actual_psi = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    expected_depth = np.zeros(n, dtype=np.int64)
+    actual_depth = np.zeros(n, dtype=np.int64)
+    expected_status[0] = actual_status[0] = 0
+    _loops.psi_select(
+        indptr, indices, phi, order, 2, expected_psi, expected_depth, expected_status
+    )
+    backend.psi_select(
+        indptr, indices, phi, order, 2, actual_psi, actual_depth, actual_status
+    )
+    checks.append(
+        np.array_equal(expected_psi, actual_psi)
+        and np.array_equal(expected_depth, actual_depth)
+        and expected_status[0] == actual_status[0]
+    )
 
     return all(checks)
 

@@ -205,6 +205,12 @@ class CExtensionBackend:
             taken.shape[1], _as_u8(keep),
         )
 
+    def psi_select(self, indptr, indices, phi, order, p, psi, depth, status):
+        self._lib.psi_select(
+            _as_i64(indptr), _as_i64(indices), _as_i64(phi), _as_i64(order),
+            len(order), p, _as_i64(psi), _as_i64(depth), _as_i64(status),
+        )
+
 
 _SIGNATURES = {
     "linial_round": (_PTR, _PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR),
@@ -216,6 +222,7 @@ _SIGNATURES = {
     "luby_candidates": (_PTR, _I64, _PTR, _PTR, _I64, _PTR),
     "luby_absorb": (_PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _I64),
     "luby_resolve": (_PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _PTR),
+    "psi_select": (_PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR),
 }
 
 

@@ -47,6 +47,7 @@ KERNEL_NAMES = (
     "luby_candidates",
     "luby_absorb",
     "luby_resolve",
+    "psi_select",
 )
 
 
@@ -348,3 +349,38 @@ def luby_resolve(undecided, indptr, indices, candidate, taken, keep):
                     ok = np.uint8(0)
                     break
         keep[i] = ok
+
+
+def psi_select(indptr, indices, phi, order, p, psi, depth, status):
+    """The whole psi re-coloring of Algorithm 1, in ascending ``phi`` order.
+
+    ``order`` lists the nodes by ascending ``phi`` (a stable argsort).  Each
+    node counts the ``psi``-colors of its strictly lower-``phi`` neighbors
+    into ``p`` counters, takes the first least-loaded color as its ``psi``
+    (1-based), and sets ``depth`` to one more than the deepest lower
+    neighbor (0 when it has none).  Every neighbor it reads was written
+    earlier in the walk, and same-``phi`` nodes never read each other, so
+    the order within a ``phi`` class does not matter.  The walk is
+    sequential by design: each node depends on cells written before it.
+    ``status`` stays 0 here; the C transcription reports a failed scratch
+    allocation as 2.
+    """
+    counts = np.zeros(p, dtype=np.int64)
+    for i in range(order.shape[0]):
+        v = order[i]
+        own = phi[v]
+        for c in range(p):
+            counts[c] = 0
+        deepest = np.int64(0)
+        for e in range(indptr[v], indptr[v + 1]):
+            u = indices[e]
+            if phi[u] < own:
+                counts[psi[u] - 1] += 1
+                if depth[u] + 1 > deepest:
+                    deepest = depth[u] + 1
+        best = np.int64(0)
+        for c in range(1, p):
+            if counts[c] < counts[best]:
+                best = c
+        psi[v] = best + 1
+        depth[v] = deepest

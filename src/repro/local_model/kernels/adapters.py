@@ -242,6 +242,28 @@ def run_luby(phase, ctx: VectorContext, backend) -> None:
     ctx.write_column("_luby_final", final)
 
 
+def run_psi_selection(phase, ctx: VectorContext, backend) -> None:
+    """Fused :class:`~repro.core.defective_coloring.PsiSelectionPhase`.
+
+    One sequential walk in ascending ``phi`` order replaces the numpy loop
+    over the ``phi`` classes; charging and state writes are shared with it.
+    """
+    fast = ctx.fast
+    n = fast.num_nodes
+    phi = ctx.column(phase.phi_key)
+    order = np.argsort(phi, kind="stable")
+    psi = np.zeros(n, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)
+    status = np.zeros(1, dtype=np.int64)
+    backend.psi_select(
+        fast.indptr_np, fast.indices_np, phi, order, phase.p, psi, depth, status
+    )
+    if status[0] == 2:  # kernel scratch allocation failed; nothing written
+        phase.vector_run(ctx)
+        return
+    phase.finish_vector_run(ctx, psi, depth)
+
+
 #: Qualified phase class name -> fused-kernel runner.
 _ADAPTERS: Dict[str, Callable] = {
     "repro.primitives.linial.LinialColoringPhase": run_linial,
@@ -250,6 +272,7 @@ _ADAPTERS: Dict[str, Callable] = {
     "repro.primitives.color_reduction.KuhnWattenhoferReductionPhase": run_kw_reduction,
     "repro.primitives.kuhn_defective_edge.KuhnDefectiveEdgeColoringPhase": run_defective_edge,
     "repro.baselines.luby_random.LubyRandomColoringPhase": run_luby,
+    "repro.core.defective_coloring.PsiSelectionPhase": run_psi_selection,
 }
 
 

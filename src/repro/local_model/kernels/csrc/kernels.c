@@ -425,3 +425,37 @@ void luby_resolve(const i64 *undecided, i64 m, const i64 *indptr,
         keep[i] = ok;
     }
 }
+
+/* Sequential by design: each node reads the psi/depth cells of its lower
+ * neighbors, written earlier in the ascending-phi walk -- no pragma. */
+void psi_select(const i64 *indptr, const i64 *indices, const i64 *phi,
+                const i64 *order, i64 n, i64 p, i64 *psi, i64 *depth,
+                i64 *status)
+{
+    i64 *counts = (i64 *)malloc((size_t)p * sizeof(i64));
+    if (counts == NULL) {
+        status[0] = 2; /* out of memory: the wrapper falls back to numpy */
+        return;
+    }
+    for (i64 i = 0; i < n; i++) {
+        i64 v = order[i];
+        i64 own = phi[v];
+        memset(counts, 0, (size_t)p * sizeof(i64));
+        i64 deepest = 0;
+        for (i64 e = indptr[v]; e < indptr[v + 1]; e++) {
+            i64 u = indices[e];
+            if (phi[u] < own) {
+                counts[psi[u] - 1]++;
+                if (depth[u] + 1 > deepest)
+                    deepest = depth[u] + 1;
+            }
+        }
+        i64 best = 0;
+        for (i64 c = 1; c < p; c++)
+            if (counts[c] < counts[best])
+                best = c;
+        psi[v] = best + 1;
+        depth[v] = deepest;
+    }
+    free(counts);
+}

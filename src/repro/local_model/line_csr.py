@@ -118,11 +118,24 @@ class LineGraphMeta:
 
 
 def _node_sort_ranks(identifiers: Tuple) -> np.ndarray:
-    """``rank[i]`` = position of ``identifiers[i]`` in node_sort_key order."""
+    """``rank[i]`` = position of ``identifiers[i]`` in node_sort_key order.
+
+    When every identifier is an exact ``int`` that fits ``int64`` (the
+    array-built graphs), node_sort_key order is numeric order and one stable
+    argsort gives the ranks; any other identifier type takes the key sort.
+    """
     from repro.local_model.network import node_sort_key
 
     n = len(identifiers)
     ranks = np.empty(n, dtype=np.int64)
+    if set(map(type, identifiers)) <= {int}:
+        try:
+            values = np.fromiter(identifiers, dtype=np.int64, count=n)
+        except OverflowError:
+            pass
+        else:
+            ranks[np.argsort(values, kind="stable")] = np.arange(n, dtype=np.int64)
+            return ranks
     by_key = sorted(range(n), key=lambda i: node_sort_key(identifiers[i]))
     ranks[np.asarray(by_key, dtype=np.int64)] = np.arange(n, dtype=np.int64)
     return ranks

@@ -89,6 +89,12 @@ GRAPHS = {
 }
 
 
+def levelled_graph():
+    """A graph on which the default preset runs Legal-Color recursion levels
+    (the GRAPHS above are small enough to bottom out at once)."""
+    return graphs.random_regular(120, 24, seed=1)
+
+
 @pytest.fixture(params=sorted(GRAPHS), name="grid_network")
 def _grid_network(request):
     return GRAPHS[request.param]()
@@ -591,6 +597,22 @@ class TestKernelDispatch:
         # Every kernel-eligible phase that executed is accounted for, once.
         assert result.metrics.compiled_fallback_phase_names
         assert result.metrics.fallback_phase_names == []
+
+    def test_psi_selection_runs_on_the_kernel_when_a_backend_resolved(self):
+        if kernels.get_backend() is None:
+            pytest.skip(f"no kernel backend: {kernels.backend_reason()}")
+        result = color_vertices(levelled_graph(), c=2, engine="vectorized")
+        assert result.num_levels >= 1
+        assert result.metrics.compiled_fallback_phase_names == []
+
+    def test_psi_selection_is_counted_as_a_fallback_without_a_backend(
+        self, no_kernel_backend
+    ):
+        result = color_vertices(levelled_graph(), c=2, engine="vectorized")
+        names = result.metrics.compiled_fallback_phase_names
+        assert result.num_levels >= 1
+        psi_names = [name for name in names if name.startswith("psi-selection[")]
+        assert len(psi_names) == result.num_levels
 
     def test_numpy_engine_counts_fallbacks_per_run(self, small_regular):
         # The per-run list is not cumulative: a second run on the same

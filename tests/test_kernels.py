@@ -445,3 +445,143 @@ class TestResolutionMachinery:
                 return True
 
         assert runner_for(Strange()) is None
+
+
+def _phi_column(kind, indptr, n):
+    """A ``phi`` column of the given shape for the psi-selection kernel."""
+    rng = np.random.default_rng(n * 3 + len(kind))
+    if kind == "all_equal":
+        return np.full(n, 4, dtype=np.int64)
+    if kind == "many_ties":
+        return rng.integers(1, 3, size=n).astype(np.int64)
+    if kind == "increasing":
+        # Strictly increasing along the dense order (and so along every path
+        # of the instances): the lower-phi chains, and the depth, are maximal.
+        return np.arange(1, n + 1, dtype=np.int64) * 2
+    return rng.integers(1, 40, size=n).astype(np.int64)
+
+
+def _run_psi_select(kernel_set, indptr, indices, phi, p):
+    n = len(indptr) - 1
+    order = np.argsort(phi, kind="stable")
+    psi = np.zeros(n, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)
+    status = np.zeros(1, dtype=np.int64)
+    kernel_set.psi_select(indptr, indices, phi, order, p, psi, depth, status)
+    return psi, depth, status
+
+
+class TestPsiSelectKernel:
+    @pytest.mark.parametrize("p", [1, 2, 7])
+    @pytest.mark.parametrize("kind", ["all_equal", "many_ties", "increasing", "random"])
+    def test_psi_select(self, backend, instance, kind, p):
+        indptr, indices, _ = instance
+        phi = _phi_column(kind, indptr, len(indptr) - 1)
+        expected = _run_psi_select(_loops, indptr, indices, phi, p)
+        actual = _run_psi_select(backend, indptr, indices, phi, p)
+        for want, got in zip(expected, actual):
+            assert np.array_equal(want, got)
+        assert actual[2][0] == 0
+
+    def test_increasing_phi_on_a_path_reaches_full_depth(self, backend):
+        indptr, indices, _ = INSTANCES["path_with_holes"]
+        phi = _phi_column("increasing", indptr, len(indptr) - 1)
+        psi, depth, _ = _run_psi_select(backend, indptr, indices, phi, 2)
+        # Nodes 0..4 form the path; 5 and 6 are isolated.
+        assert depth.tolist() == [0, 1, 2, 3, 4, 0, 0]
+        assert psi.tolist() == [1, 2, 1, 2, 1, 1, 1]
+
+
+def _psi_graphs():
+    from repro import graphs
+
+    return [
+        graphs.random_regular(30, 6, seed=11),
+        graphs.random_regular(26, 8, seed=3),
+        graphs.erdos_renyi(40, 0.2, seed=5),
+    ]
+
+
+def _run_psi_phase(network, phi, p):
+    from repro.core.defective_coloring import PsiSelectionPhase
+    from repro.local_model import VectorizedScheduler
+
+    phase = PsiSelectionPhase(p=p, phi_key="phi", phi_palette=max(phi.values()))
+    states = {node: {"phi": phi[node]} for node in network.nodes()}
+    result = VectorizedScheduler(network).run(phase, initial_states=states)
+    (phase_metrics,) = result.metrics.phases
+    fingerprint = (
+        phase_metrics.name,
+        phase_metrics.rounds,
+        phase_metrics.messages,
+        phase_metrics.total_words,
+        phase_metrics.max_message_words,
+    )
+    return result.states, fingerprint, result.metrics.compiled_fallback_phase_names
+
+
+class TestPsiSelectionAdapter:
+    """The fused runner against the phase's numpy ``vector_run``."""
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_kernel_path_matches_numpy_path(self, backend, p):
+        for index, network in enumerate(_psi_graphs()):
+            rng = np.random.default_rng(index * 10 + p)
+            phi = {
+                node: int(value)
+                for node, value in zip(
+                    network.nodes(), rng.integers(1, 9, size=network.num_nodes)
+                )
+            }
+            restore = kernels.force_backend(backend)
+            try:
+                fused = _run_psi_phase(network, phi, p)
+            finally:
+                restore()
+            restore = kernels.force_backend(None)
+            try:
+                numpy_only = _run_psi_phase(network, phi, p)
+            finally:
+                restore()
+            assert fused[0] == numpy_only[0]
+            assert fused[1] == numpy_only[1]
+            assert fused[2] == []
+            assert numpy_only[2] == [f"psi-selection[p={p}]"]
+
+    def test_probe_rejects_corrupt_psi_select(self, backend):
+        class Corrupt:
+            name = "corrupt"
+
+            def __getattr__(self, attr):
+                return getattr(backend, attr)
+
+            def psi_select(self, indptr, indices, phi, order, p, psi, depth, status):
+                backend.psi_select(indptr, indices, phi, order, p, psi, depth, status)
+                depth[-1] += 1  # a miscompiled kernel
+
+        assert kernels._probe(Corrupt()) is False
+
+    def test_allocation_failure_falls_back_to_numpy(self, backend):
+        class OutOfMemory:
+            name = "out-of-memory"
+
+            def __getattr__(self, attr):
+                return getattr(backend, attr)
+
+            def psi_select(self, indptr, indices, phi, order, p, psi, depth, status):
+                psi[:] = 99  # whatever the kernel left behind is ignored
+                status[0] = 2
+
+        network = _psi_graphs()[0]
+        phi = {node: network.unique_id(node) % 6 + 1 for node in network.nodes()}
+        restore = kernels.force_backend(OutOfMemory())
+        try:
+            degraded = _run_psi_phase(network, phi, 3)
+        finally:
+            restore()
+        restore = kernels.force_backend(None)
+        try:
+            numpy_only = _run_psi_phase(network, phi, 3)
+        finally:
+            restore()
+        assert degraded[:2] == numpy_only[:2]

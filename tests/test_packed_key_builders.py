@@ -34,8 +34,9 @@ from repro.local_model.fast_network import (
     as_network,
     fast_view,
 )
-from repro.local_model.line_csr import build_line_graph_fast
-from repro.local_model.network import Network
+from repro.local_model import network as network_module
+from repro.local_model.line_csr import _node_sort_ranks, build_line_graph_fast
+from repro.local_model.network import Network, node_sort_key
 from repro.verification import (
     assert_legal_edge_coloring,
     edge_coloring_defect,
@@ -139,6 +140,61 @@ class TestLineGraphBuilder:
         monkeypatch.setattr(fast_network, "MAX_PACKED_NODES", 5)
         with pytest.raises(InvalidParameterError, match="edge count"):
             build_line_graph_fast(network)
+
+
+def _key_sort_ranks(identifiers):
+    by_key = sorted(range(len(identifiers)), key=lambda i: node_sort_key(identifiers[i]))
+    ranks = np.empty(len(identifiers), dtype=np.int64)
+    ranks[by_key] = np.arange(len(identifiers))
+    return ranks
+
+
+class TestNodeSortRanks:
+    """``_node_sort_ranks``: an argsort for plain ints, the key sort otherwise."""
+
+    @pytest.fixture
+    def key_calls(self, monkeypatch):
+        calls = []
+
+        def counting_key(node):
+            calls.append(node)
+            return node_sort_key(node)
+
+        monkeypatch.setattr(network_module, "node_sort_key", counting_key)
+        return calls
+
+    @pytest.mark.parametrize(
+        "identifiers",
+        [
+            (),
+            (7,),
+            (5, -3, 0, -40, 12),
+            (100, 3, 2**40, -(2**40), 77, 9),
+            tuple(np.random.default_rng(4).permutation(300).tolist()),
+        ],
+        ids=["empty", "single", "negative", "non-contiguous", "shuffled"],
+    )
+    def test_int_ids_take_the_argsort(self, identifiers, key_calls):
+        ranks = _node_sort_ranks(identifiers)
+        assert np.array_equal(ranks, _key_sort_ranks(identifiers))
+        assert key_calls == []
+
+    @pytest.mark.parametrize(
+        "identifiers",
+        [
+            (3, "a", 1, "b"),
+            ((0, 1), (0, 2), (1, 2)),
+            ("x", "ab", "b"),
+            (True, 2, 0),
+            (1.5, 1, 2),
+            (2**70, 1, -5),
+        ],
+        ids=["mixed", "tuples", "strings", "bool", "float", "beyond-int64"],
+    )
+    def test_other_ids_keep_the_key_sort(self, identifiers, key_calls):
+        ranks = _node_sort_ranks(identifiers)
+        assert np.array_equal(ranks, _key_sort_ranks(identifiers))
+        assert key_calls  # the key sort ran
 
 
 def _violation_message(network, colors) -> str:
